@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -36,12 +37,30 @@ _APERTURE_HEADER = struct.Struct("<4sIII")
 
 PathLike = Union[str, Path]
 
+# mkstemp creates owner-only files; give outputs the usual umask-based mode.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 
 def atomic_write(path: PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a private temp file and a rename.
+
+    Every call gets its own temp file, so concurrent writers to one path
+    never share one; readers see one complete payload or the other.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(path: PathLike, magic: bytes) -> bytes:

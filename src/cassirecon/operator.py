@@ -5,6 +5,13 @@ spreads every voxel's energy over three neighboring detector columns
 (fractions ``w0, w1, w2``), shifted by one column per spectral band. K shots
 stack into a measurement vector of length ``K*M*(N+L+1)``.
 
+Per shot the forward map factors into a shear and a filter: band l of the
+coded cube is added into an ``M x (N+L-1)`` accumulator at column offset
+l, then one 3-tap column filter ``(w0, w1, w2)`` spreads the accumulator
+over the ``N+L+1`` detector columns. The adjoint runs the same steps
+transposed: a 3-tap correlation of the frame, then one masked slice per
+band.
+
 The dense matrix is never formed in normal operation; ``materialize`` exists
 for small-instance verification only and enforces a size cap.
 """
@@ -15,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -123,17 +129,18 @@ class CassiModel:
     apertures: CodedApertureSet
     weights: DispersionWeights
     bands: int
-    _masks_f: np.ndarray = field(init=False, repr=False, compare=False)
+    _masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bands < 1:
             raise DimensionError(f"bands must be >= 1, got {self.bands}")
-        # Kernel-ready layout: (M, N, K) float64, Fortran order, built once.
-        mf = np.asfortranarray(
+        # (M, N, K) float64 in Fortran order: each shot's mask is one
+        # contiguous block laid out like a band of the cube view.
+        masks = np.asfortranarray(
             np.moveaxis(self.apertures.masks, 0, 2).astype(np.float64)
         )
-        mf.flags.writeable = False
-        object.__setattr__(self, "_masks_f", mf)
+        masks.flags.writeable = False
+        object.__setattr__(self, "_masks", masks)
 
     @property
     def rows(self) -> int:
@@ -179,18 +186,49 @@ def _as_frame_view(model: CassiModel, g: np.ndarray) -> np.ndarray:
     return v.reshape((model.rows, model.fpa_width, model.shots), order="F")
 
 
+def _forward(model: CassiModel, cube: np.ndarray) -> np.ndarray:
+    """(M, N, L) cube -> (M, N+L+1, K) frames: per shot, shear then filter."""
+    masks = model._masks
+    M, N, L, K = model.rows, model.cols, model.bands, model.shots
+    width = N + L - 1
+    w0, w1, w2 = model.weights.as_tuple()
+    out = np.zeros((M, width + 2, K), order="F")
+    for k in range(K):
+        mask = masks[:, :, k]
+        sheared = np.zeros((M, width), order="F")
+        for l in range(L):
+            sheared[:, l : l + N] += mask * cube[:, :, l]
+        frame = out[:, :, k]
+        frame[:, :width] += w0 * sheared
+        frame[:, 1 : width + 1] += w1 * sheared
+        frame[:, 2:] += w2 * sheared
+    return out
+
+
+def _adjoint(model: CassiModel, frames: np.ndarray) -> np.ndarray:
+    """Exact transpose of :func:`_forward`: per shot, correlate then unshear."""
+    masks = model._masks
+    N, L, K = model.cols, model.bands, model.shots
+    width = N + L - 1
+    w0, w1, w2 = model.weights.as_tuple()
+    out = np.zeros((model.rows, N, L), order="F")
+    for k in range(K):
+        frame = frames[:, :, k]
+        corr = w0 * frame[:, :width] + w1 * frame[:, 1 : width + 1] + w2 * frame[:, 2:]
+        mask = masks[:, :, k]
+        for l in range(L):
+            out[:, :, l] += mask * corr[:, l : l + N]
+    return out
+
+
 def forward_apply(model: CassiModel, f: np.ndarray) -> np.ndarray:
     """Apply the measurement operator to a vectorized cube."""
-    w0, w1, w2 = model.weights.as_tuple()
-    out = kernels.forward(model._masks_f, w0, w1, w2, _as_cube_view(model, f))
-    return out.reshape(-1, order="F")
+    return _forward(model, _as_cube_view(model, f)).reshape(-1, order="F")
 
 
 def adjoint_apply(model: CassiModel, g: np.ndarray) -> np.ndarray:
     """Apply the exact transpose of the operator to a measurement vector."""
-    w0, w1, w2 = model.weights.as_tuple()
-    out = kernels.adjoint(model._masks_f, w0, w1, w2, _as_frame_view(model, g))
-    return out.reshape(-1, order="F")
+    return _adjoint(model, _as_frame_view(model, g)).reshape(-1, order="F")
 
 
 def materialize(model: CassiModel, cap: int = MATERIALIZE_CAP) -> np.ndarray:
@@ -222,7 +260,7 @@ def column_norm_squares(model: CassiModel) -> np.ndarray:
     squared column norm is (open-shot count) * sum(w_d^2), independent of l.
     """
     w = np.asarray(model.weights.as_tuple())
-    open_counts = model._masks_f.sum(axis=2)  # (M, N)
+    open_counts = model._masks.sum(axis=2)  # (M, N)
     per_band = open_counts * float(np.sum(w * w))
     full = np.broadcast_to(per_band[:, :, None], (model.rows, model.cols, model.bands))
     return np.asfortranarray(full).reshape(-1, order="F")

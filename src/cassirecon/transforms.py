@@ -43,8 +43,18 @@ WAVELET_FILTERS = {
 
 
 def default_levels(M: int, N: int) -> int:
-    """Decomposition depth used when none is requested."""
-    return max(1, int(np.log2(min(M, N))) - 2)
+    """Decomposition depth used when none is requested.
+
+    Two levels short of log2 of the smaller side (at least 1), clamped to
+    the number of times both sides halve evenly.
+    """
+    halvings = min((M & -M).bit_length(), (N & -N).bit_length()) - 1
+    if halvings < 1:
+        raise DimensionError(
+            f"spatial dims ({M}, {N}) must both be even: no wavelet depth "
+            f"(--levels) fits an odd size; crop the cube"
+        )
+    return min(max(1, int(np.log2(min(M, N))) - 2), halvings)
 
 
 def _filters(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
@@ -110,39 +120,6 @@ def _idwt2_level(block: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _synthesize_axis0(cols[: m // 2], cols[m // 2 :], h, g)
 
 
-def dwt2_forward(a: np.ndarray, levels: int, wavelet: str = "haar") -> np.ndarray:
-    """J-level 2D wavelet decomposition, packed corner layout.
-
-    The level-J approximation sits in the top-left (M/2^J, N/2^J) block;
-    detail subbands occupy the remaining quadrants of each scale. Energy is
-    preserved (orthonormal filters, periodic extension).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    M, N = a.shape[0], a.shape[1]
-    _check_dyadic(M, N, levels)
-    h, g = _filters(wavelet)
-    out = a.copy()
-    m, n = M, N
-    for _ in range(levels):
-        out[:m, :n] = _dwt2_level(out[:m, :n], h, g)
-        m //= 2
-        n //= 2
-    return out
-
-
-def dwt2_inverse(coeffs: np.ndarray, levels: int, wavelet: str = "haar") -> np.ndarray:
-    """Exact inverse of :func:`dwt2_forward`."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    M, N = coeffs.shape[0], coeffs.shape[1]
-    _check_dyadic(M, N, levels)
-    h, g = _filters(wavelet)
-    out = coeffs.copy()
-    for j in range(levels, 0, -1):
-        m, n = M >> (j - 1), N >> (j - 1)
-        out[:m, :n] = _idwt2_level(out[:m, :n], h, g)
-    return out
-
-
 def dct_spectral_forward(cube: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II along the spectral (last) axis of an (M, N, L) cube."""
     return dct(np.asarray(cube, dtype=np.float64), type=2, norm="ortho", axis=-1)
@@ -159,7 +136,10 @@ class SparsifyingTransform:
 
     ``forward`` maps a vectorized cube to its coefficient vector;
     ``inverse`` is the exact transpose. ``levels=None`` picks
-    :func:`default_levels`.
+    :func:`default_levels`. Each band's wavelet coefficients use the packed
+    corner layout: the level-J approximation sits in the top-left
+    (M/2^J, N/2^J) block, detail subbands in the other quadrants of each
+    scale (see :func:`spatial_subband_labels`).
     """
 
     rows: int

@@ -103,6 +103,23 @@ def test_reconstruct_defaults():
     assert args.wavelet == "haar"
 
 
+def test_reconstruct_non_power_of_two_size(tmp_path):
+    # 100 halves only twice, so the default wavelet depth must stop at 2
+    fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(100, 100, 4, "gaussian-blobs", seed=1))
+    assert run_cli(
+        "aperture", "--rows", 100, "--cols", 100, "--shots", 2, "--out", tmp_path / "ap.hsa",
+    ) == 0
+    assert run_cli(
+        "simulate", "--cube", tmp_path / "cube.hsc", "--apertures", tmp_path / "ap.hsa",
+        "--snr", 20, "--out", tmp_path / "meas.hsm",
+    ) == 0
+    assert run_cli(
+        "reconstruct", "--measurements", tmp_path / "meas.hsm",
+        "--apertures", tmp_path / "ap.hsa", "--iters", 5, "--out", tmp_path / "rec.hsc",
+    ) == 0
+    assert fileio.read_cube(tmp_path / "rec.hsc").shape == (100, 100, 4)
+
+
 def test_reconstruct_amp_with_trace(workdir):
     code = run_cli(
         "reconstruct", "--measurements", workdir / "meas.hsm",

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,30 @@ def test_no_temp_files_left_behind(tmp_path):
     fileio.write_cube(tmp_path / "x.hsc", cube)
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    path = tmp_path / "shared.bin"
+    payloads = [bytes([1]) * 100_000, bytes([2]) * 150_000]
+    fileio.atomic_write(path, payloads[0])
+    errors = []
+
+    def writer(data):
+        try:
+            for _ in range(50):
+                fileio.atomic_write(path, data)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    for t in threads:
+        t.start()
+    reads = []
+    while any(t.is_alive() for t in threads):
+        reads.append(path.read_bytes())
+    for t in threads:
+        t.join()
+    reads.append(path.read_bytes())
+    assert not errors
+    assert all(r in payloads for r in reads)
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -74,6 +74,25 @@ def test_forward_matches_materialized():
         assert np.abs(H @ f - forward_apply(model, f)).max() <= 1e-12
 
 
+def test_materialize_matches_definition_with_asymmetric_weights():
+    # H entry by entry: voxel (i, j, l) in shot k puts w_d * mask[k, i, j]
+    # on detector (i, j+l+d, k); unequal w0 and w2 catch a reversed filter
+    M, N, L, K = 5, 6, 4, 3
+    weights = DispersionWeights(0.2, 0.5, 0.3)
+    model = make_model(M, N, L, K, scheme="random", seed=4, weights=weights)
+    masks = model.apertures.masks
+    H = np.zeros((model.m, model.n))
+    for k in range(K):
+        for i in range(M):
+            for j in range(N):
+                for l in range(L):
+                    col = voxel_flat_index(i, j, l, M, N)
+                    for d, w in enumerate(weights.as_tuple()):
+                        row = measurement_flat_index(i, j + l + d, k, M, N, L)
+                        H[row, col] += w * masks[k, i, j]
+    assert np.abs(materialize(model) - H).max() <= 1e-15
+
+
 def test_adjoint_unit_measurement():
     M, N, L = 4, 5, 3
     model = all_ones_model(M, N, L)

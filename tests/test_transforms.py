@@ -7,8 +7,6 @@ from cassirecon.transforms import (
     dct_spectral_forward,
     dct_spectral_inverse,
     default_levels,
-    dwt2_forward,
-    dwt2_inverse,
     subband_map,
 )
 
@@ -22,6 +20,21 @@ def dct2_reference(x):
         c = np.sqrt(1.0 / L) if p == 0 else np.sqrt(2.0 / L)
         out[..., p] = c * (x * np.cos(np.pi * (2 * l + 1) * p / (2 * L))).sum(axis=-1)
     return out
+
+
+def one_band(shape, levels, wavelet):
+    """Psi on a single band: its length-1 spectral DCT is the identity."""
+    return SparsifyingTransform(shape[0], shape[1], 1, wavelet, levels)
+
+
+def dwt2_forward(a, levels, wavelet="haar"):
+    theta = one_band(a.shape, levels, wavelet).forward(a[:, :, None])
+    return theta.reshape(a.shape, order="F")
+
+
+def dwt2_inverse(c, levels, wavelet="haar"):
+    x = one_band(c.shape, levels, wavelet).inverse(c.reshape(-1, order="F"))
+    return x.reshape(c.shape, order="F")
 
 
 def test_dwt2_constant_2x2_haar():
@@ -152,6 +165,9 @@ def test_default_levels():
     assert default_levels(32, 32) == 3
     assert default_levels(8, 8) == 1
     assert default_levels(2, 2) == 1
+    assert default_levels(100, 100) == 2
+    with pytest.raises(DimensionError, match="--levels"):
+        default_levels(9, 8)
     assert SparsifyingTransform(32, 32, 4).levels == 3
 
 
