@@ -20,19 +20,22 @@ so divergence stays visible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .metrics import avg_psnr
+from .metrics import Trace, avg_psnr, reference_cube
 from .operator import CassiModel, adjoint_apply, forward_apply
 from .transforms import SparsifyingTransform, SubbandMap, subband_map
 from .wiener import denoise_cube
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_MAX_ITER = 400
+
+#: Public name of the trace ``run_amp`` returns; the same class as ``Trace``.
+AmpTrace = Trace
 
 
 @dataclass(frozen=True)
@@ -73,39 +76,7 @@ class AmpState:
             raise ValueError(f"noise estimate must be finite and >= 0, got {self.sigma2}")
 
 
-@dataclass
-class AmpTrace:
-    """Per-iteration diagnostics; one record per completed iteration."""
-
-    sigma2: list[float] = field(default_factory=list)
-    residual_norm: list[float] = field(default_factory=list)
-    deriv_mean: list[float] = field(default_factory=list)
-    psnr: list[float] = field(default_factory=list)
-    wall_ms: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.sigma2)
-
-    @property
-    def has_psnr(self) -> bool:
-        return len(self.psnr) > 0
-
-    def to_csv(self) -> str:
-        cols = ["iter", "sigma2", "residual_norm", "derivative_mean"]
-        if self.has_psnr:
-            cols.append("psnr")
-        cols.append("wall_ms")
-        lines = [",".join(cols)]
-        for i in range(len(self)):
-            row = [str(i + 1), repr(self.sigma2[i]), repr(self.residual_norm[i]), repr(self.deriv_mean[i])]
-            if self.has_psnr:
-                row.append(repr(self.psnr[i]))
-            row.append(repr(self.wall_ms[i]))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-
-def _check_finite(v: np.ndarray, what: str, iteration: int, trace: Optional[AmpTrace]) -> None:
+def _check_finite(v: np.ndarray, what: str, iteration: int, trace: Optional[Trace]) -> None:
     if not np.all(np.isfinite(v)):
         raise DivergenceError(
             f"non-finite values in {what} at iteration {iteration}",
@@ -144,7 +115,7 @@ def residual_step(
     g: np.ndarray,
     model: CassiModel,
     iteration: int = 1,
-    trace: Optional[AmpTrace] = None,
+    trace: Optional[Trace] = None,
 ) -> np.ndarray:
     """Residual with the reaction-term correction (step 1).
 
@@ -175,11 +146,15 @@ def amp_iteration(
     transform: SparsifyingTransform,
     smap: SubbandMap,
     alpha: float,
-    trace: Optional[AmpTrace] = None,
+    trace: Optional[Trace] = None,
     truth_cube: Optional[np.ndarray] = None,
-    peak: float = 1.0,
 ) -> AmpState:
-    """Run one full solver iteration and append a trace record."""
+    """Run one full solver iteration and append a trace row.
+
+    The row holds ``sigma2``, ``residual_norm``, ``derivative_mean``, then
+    ``psnr`` when ``truth_cube`` (an (M, N, L) array) is given, and
+    ``wall_ms``.
+    """
     start = time.perf_counter()
     t = state.t
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,13 +170,11 @@ def amp_iteration(
     f_next = damp(f_half, state.f, alpha)
     _check_finite(f_next, "iterate", t, trace)
     if trace is not None:
-        trace.sigma2.append(sigma2)
-        trace.residual_norm.append(float(np.linalg.norm(r)))
-        trace.deriv_mean.append(deriv)
+        row = dict(sigma2=sigma2, residual_norm=float(np.linalg.norm(r)), derivative_mean=deriv)
         if truth_cube is not None:
             est = f_next.reshape(truth_cube.shape, order="F")
-            trace.psnr.append(avg_psnr(truth_cube, est, peak).value)
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
+            row["psnr"] = avg_psnr(truth_cube, est).value
+        trace.append(**row, wall_ms=(time.perf_counter() - start) * 1e3)
     return AmpState(f=f_next, r=r, sigma2=sigma2, deriv_mean=deriv, t=t + 1)
 
 
@@ -210,8 +183,7 @@ def run_amp(
     model: CassiModel,
     config: AmpConfig = AmpConfig(),
     truth: Optional[np.ndarray] = None,
-    peak: float = 1.0,
-) -> tuple[np.ndarray, AmpTrace]:
+) -> tuple[np.ndarray, Trace]:
     """Reconstruct a cube from measurements; returns (estimate, trace).
 
     Starts from f = 0, r = 0 and runs exactly ``config.max_iter``
@@ -226,19 +198,12 @@ def run_amp(
         model.rows, model.cols, model.bands, wavelet=config.wavelet, levels=config.levels
     )
     smap = subband_map(model.rows, model.cols, model.bands, transform.levels)
-    truth_cube = None
-    if truth is not None:
-        truth_flat = np.asarray(truth, dtype=np.float64).reshape(-1)
-        if truth_flat.size != model.n:
-            raise DimensionError(f"expected truth length {model.n}, got {truth_flat.size}")
-        truth_cube = truth_flat.reshape((model.rows, model.cols, model.bands), order="F")
-
-    trace = AmpTrace()
+    ref = reference_cube(truth, (model.rows, model.cols, model.bands))
+    psnr = ("psnr",) if ref is not None else ()
+    trace = Trace("sigma2", "residual_norm", "derivative_mean", *psnr, "wall_ms")
     state = AmpState(
         f=np.zeros(model.n), r=np.zeros(model.m), sigma2=0.0, deriv_mean=0.0, t=1
     )
     for _ in range(config.max_iter):
-        state = amp_iteration(
-            state, g, model, transform, smap, config.alpha, trace, truth_cube, peak
-        )
+        state = amp_iteration(state, g, model, transform, smap, config.alpha, trace, ref)
     return state.f, trace

@@ -144,7 +144,7 @@ def _cmd_reconstruct(args) -> int:
 
     fileio.write_cube(args.out, HyperCube(model.rows, model.cols, model.bands, f_hat))
     _write_trace(args.trace, trace)
-    note = f" final-psnr={trace.psnr[-1]:.2f}dB" if trace.has_psnr else ""
+    note = f" final-psnr={trace.psnr[-1]:.2f}dB" if "psnr" in trace.columns else ""
     print(
         f"wrote {args.out}: solver={args.solver} iters={args.iters} "
         f"elapsed={elapsed:.2f}s{note}"
@@ -172,7 +172,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     M, N, L, K = _parse_dims(args.dims)
-    results = run_selfcheck(M, N, L, K, corrupt_weights=args.corrupt_weights)
+    results = run_selfcheck(M, N, L, K)
     print(format_results(results))
     return EXIT_OK if all(r.ok for r in results) else 1
 
@@ -233,13 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="run the numerical verification suite")
     p.add_argument("--dims", default="8,8,4,2", help="M,N,L,K for the check instance")
-    p.add_argument("--corrupt-weights", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_selfcheck)
 
     p = sub.add_parser("export-slices", help="write one PGM image per band")
     p.add_argument("--cube", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--format", choices=["pgm"], default="pgm")
     p.add_argument("--peak", type=float, default=1.0)
     p.set_defaults(func=_cmd_export_slices)
 

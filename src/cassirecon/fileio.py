@@ -63,11 +63,16 @@ def atomic_write(path: PathLike, data: bytes) -> None:
         raise
 
 
-def _read_exact(path: PathLike, magic: bytes) -> bytes:
+def _read_exact(path: PathLike, magic: bytes, header: struct.Struct) -> tuple[bytes, tuple]:
+    """File bytes and unpacked header fields after the magic; rejects short headers."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != magic:
         raise ValueError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
-    return data
+    if len(data) < header.size:
+        raise ValueError(
+            f"{path}: truncated header, expected {header.size} bytes, found {len(data)}"
+        )
+    return data, header.unpack_from(data)[1:]
 
 
 def _expect_length(path: PathLike, data: bytes, expected: int) -> None:
@@ -82,8 +87,7 @@ def write_cube(path: PathLike, cube: HyperCube) -> None:
 
 
 def read_cube(path: PathLike) -> HyperCube:
-    data = _read_exact(path, CUBE_MAGIC)
-    _, M, N, L = _CUBE_HEADER.unpack_from(data)
+    data, (M, N, L) = _read_exact(path, CUBE_MAGIC, _CUBE_HEADER)
     _expect_length(path, data, _CUBE_HEADER.size + 4 * M * N * L)
     values = np.frombuffer(data, dtype="<f4", offset=_CUBE_HEADER.size).astype(np.float64)
     return HyperCube(M, N, L, values)
@@ -100,9 +104,8 @@ def write_measurements(path: PathLike, ms: MeasurementSet) -> None:
 
 
 def read_measurements(path: PathLike) -> MeasurementSet:
-    data = _read_exact(path, MEAS_MAGIC)
-    _, K, M, N, L, w0, w1, w2, seed, sigma = _MEAS_HEADER.unpack_from(data)
-    if abs((w0 + w1 + w2) - 1.0) > 1e-9:
+    data, (K, M, N, L, w0, w1, w2, seed, sigma) = _read_exact(path, MEAS_MAGIC, _MEAS_HEADER)
+    if not abs((w0 + w1 + w2) - 1.0) <= 1e-9:  # also rejects NaN
         raise ValueError(f"{path}: recorded weights must sum to 1, got {(w0, w1, w2)}")
     count = K * M * (N + L + 1)
     _expect_length(path, data, _MEAS_HEADER.size + 4 * count)
@@ -123,8 +126,7 @@ def write_apertures(path: PathLike, apertures: CodedApertureSet) -> None:
 
 
 def read_apertures(path: PathLike) -> CodedApertureSet:
-    data = _read_exact(path, APERTURE_MAGIC)
-    _, K, M, N = _APERTURE_HEADER.unpack_from(data)
+    data, (K, M, N) = _read_exact(path, APERTURE_MAGIC, _APERTURE_HEADER)
     _expect_length(path, data, _APERTURE_HEADER.size + K * M * N)
     flat = np.frombuffer(data, dtype=np.uint8, offset=_APERTURE_HEADER.size)
     masks = np.moveaxis(flat.reshape((M, N, K), order="F"), 2, 0)

@@ -14,13 +14,13 @@ reimplementation of any specific packaged algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .metrics import avg_psnr
+from .metrics import Trace, avg_psnr, reference_cube
 from .operator import CassiModel, adjoint_apply, forward_apply
 from .transforms import SparsifyingTransform
 
@@ -32,14 +32,13 @@ class L1Config:
     lam: float
     max_iter: int = 400
     step: Optional[float] = None
-    accelerate: bool = True
-    power_iters: int = 50
-    power_seed: int = 0
 
     def __post_init__(self):
         # lam = 0 degenerates to plain least squares, occasionally useful
-        if self.lam < 0.0:
-            raise ValueError(f"regularization weight must be nonnegative, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(
+                f"regularization weight must be finite and nonnegative, got {self.lam}"
+            )
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.step is not None and self.step <= 0.0:
@@ -93,62 +92,28 @@ def operator_norm_squared(model: CassiModel, iters: int = 50, seed: int = 0) -> 
     )
 
 
-@dataclass
-class FistaTrace:
-    """Per-iteration objective values and diagnostics."""
-
-    objective: list[float] = field(default_factory=list)
-    residual_norm: list[float] = field(default_factory=list)
-    psnr: list[float] = field(default_factory=list)
-    wall_ms: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.objective)
-
-    @property
-    def has_psnr(self) -> bool:
-        return len(self.psnr) > 0
-
-    def to_csv(self) -> str:
-        cols = ["iter", "objective", "residual_norm"]
-        if self.has_psnr:
-            cols.append("psnr")
-        cols.append("wall_ms")
-        lines = [",".join(cols)]
-        for i in range(len(self)):
-            row = [str(i + 1), repr(self.objective[i]), repr(self.residual_norm[i])]
-            if self.has_psnr:
-                row.append(repr(self.psnr[i]))
-            row.append(repr(self.wall_ms[i]))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-
 def fista_run(
     g: np.ndarray,
     model: CassiModel,
     transform: SparsifyingTransform,
     config: L1Config,
     truth: Optional[np.ndarray] = None,
-    peak: float = 1.0,
-) -> tuple[np.ndarray, FistaTrace]:
-    """Solve the l1-regularized least-squares problem; returns (estimate, trace)."""
+) -> tuple[np.ndarray, Trace]:
+    """Solve the l1-regularized least-squares problem; returns (estimate, trace).
+
+    Each trace row holds ``objective``, ``residual_norm``, then ``psnr``
+    when ``truth`` (a vectorized reference cube) is given, and ``wall_ms``.
+    """
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     if g.size != model.m:
         raise DimensionError(f"expected measurement length {model.m}, got {g.size}")
     step = config.step
     if step is None:
-        lip = operator_norm_squared(model, config.power_iters, config.power_seed)
+        lip = operator_norm_squared(model)
         if lip <= 0.0:
             raise ValueError("operator norm estimate is zero; cannot pick a step size")
         step = 1.0 / lip
-
-    truth_cube = None
-    if truth is not None:
-        truth_flat = np.asarray(truth, dtype=np.float64).reshape(-1)
-        if truth_flat.size != model.n:
-            raise DimensionError(f"expected truth length {model.n}, got {truth_flat.size}")
-        truth_cube = truth_flat.reshape((model.rows, model.cols, model.bands), order="F")
+    ref = reference_cube(truth, (model.rows, model.cols, model.bands))
 
     def objective(f: np.ndarray) -> float:
         # may overflow to inf near divergence; the monotone safeguard copes
@@ -165,7 +130,8 @@ def fista_run(
     y = x.copy()
     t_mom = 1.0
     fx = objective(x)
-    trace = FistaTrace()
+    psnr = ("psnr",) if ref is not None else ()
+    trace = Trace("objective", "residual_norm", *psnr, "wall_ms")
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -176,27 +142,21 @@ def fista_run(
                 f"non-finite iterate at iteration {it}", iteration=it, trace=trace
             )
         fz = objective(z)
-        if config.accelerate:
-            # monotone safeguard: never accept an objective increase
-            if fz <= fx:
-                x_new, fx_new = z, fz
-            else:
-                x_new, fx_new = x, fx
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = x_new + (t_mom / t_next) * (z - x_new) + ((t_mom - 1.0) / t_next) * (
-                x_new - x
-            )
-            x, fx, t_mom = x_new, fx_new, t_next
+        # monotone safeguard: never accept an objective increase
+        if fz <= fx:
+            x_new, fx_new = z, fz
         else:
-            x, fx = z, fz
-            y = x
-        trace.objective.append(fx)
+            x_new, fx_new = x, fx
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = x_new + (t_mom / t_next) * (z - x_new) + ((t_mom - 1.0) / t_next) * (
+            x_new - x
+        )
+        x, fx, t_mom = x_new, fx_new, t_next
         resid = g - forward_apply(model, x)
-        trace.residual_norm.append(float(np.linalg.norm(resid)))
-        if truth_cube is not None:
-            est = x.reshape(truth_cube.shape, order="F")
-            trace.psnr.append(avg_psnr(truth_cube, est, peak).value)
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
+        row = dict(objective=fx, residual_norm=float(np.linalg.norm(resid)))
+        if ref is not None:
+            row["psnr"] = avg_psnr(ref, x.reshape(ref.shape, order="F")).value
+        trace.append(**row, wall_ms=(time.perf_counter() - start) * 1e3)
     return x, trace
 
 
@@ -207,8 +167,7 @@ def sweep_lambda(
     lambdas: list[float],
     max_iter: int = 400,
     truth: Optional[np.ndarray] = None,
-    peak: float = 1.0,
-) -> list[tuple[float, np.ndarray, FistaTrace]]:
+) -> list[tuple[float, np.ndarray, Trace]]:
     """Run the baseline once per regularization weight in ``lambdas``.
 
     The step size is estimated once and shared across the sweep.
@@ -217,6 +176,6 @@ def sweep_lambda(
     results = []
     for lam in lambdas:
         config = L1Config(lam=lam, max_iter=max_iter, step=1.0 / lip)
-        f_hat, trace = fista_run(g, model, transform, config, truth=truth, peak=peak)
+        f_hat, trace = fista_run(g, model, transform, config, truth=truth)
         results.append((lam, f_hat, trace))
     return results

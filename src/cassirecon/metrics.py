@@ -1,4 +1,4 @@
-"""Measurement-noise injection and reconstruction-quality metrics.
+"""Measurement-noise injection, reconstruction-quality metrics and solver traces.
 
 The SNR convention here is a mean-to-standard-deviation ratio,
 ``10*log10(mean(g) / sigma_noise)``, written "cassi-snr" in CLI output to
@@ -9,7 +9,7 @@ for raw 8-bit data) and averaged over bands.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -92,3 +92,48 @@ def avg_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0) -> P
     if not finite.any():
         return PsnrSummary(float("inf"), n_inf)
     return PsnrSummary(float(band_psnr[finite].mean()), n_inf)
+
+
+def reference_cube(
+    truth: Optional[np.ndarray], shape: tuple[int, int, int]
+) -> Optional[np.ndarray]:
+    """A vectorized reference cube as an (M, N, L) array; None passes through."""
+    if truth is None:
+        return None
+    flat = np.asarray(truth, dtype=np.float64).reshape(-1)
+    n = shape[0] * shape[1] * shape[2]
+    if flat.size != n:
+        raise DimensionError(f"expected truth length {n}, got {flat.size}")
+    return flat.reshape(shape, order="F")
+
+
+class Trace:
+    """Per-iteration solver diagnostics: named columns, one row per iteration.
+
+    The columns named at construction are written even when no row was
+    recorded, so a run that fails at once still leaves its CSV header;
+    ``append`` adds a column it has not seen. ``trace.<column>`` reads one
+    column as a list.
+    """
+
+    def __init__(self, *names: str):
+        self.columns: dict[str, list[float]] = {name: [] for name in names}
+
+    def __getattr__(self, name: str) -> list[float]:
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __len__(self) -> int:
+        return max(map(len, self.columns.values()), default=0)
+
+    def append(self, **row: float) -> None:
+        for name, value in row.items():
+            self.columns.setdefault(name, []).append(value)
+
+    def to_csv(self) -> str:
+        lines = [",".join(["iter", *self.columns])]
+        for i, row in enumerate(zip(*self.columns.values()), start=1):
+            lines.append(",".join([str(i), *map(repr, row)]))
+        return "\n".join(lines) + "\n"

@@ -44,7 +44,7 @@ def measurement_count(M: int, N: int, L: int, K: int) -> int:
 class DispersionWeights:
     """Energy fractions (w0, w1, w2) landing on the 3 dispersed columns.
 
-    Must be nonnegative and sum to 1 (total energy is preserved). Setting
+    Must be finite, nonnegative and sum to 1 (total energy is preserved). Setting
     (0, 1, 0) collapses the model to a single-diagonal, first-order system
     while keeping the same detector width.
     """
@@ -55,8 +55,8 @@ class DispersionWeights:
 
     def __post_init__(self):
         w = (float(self.w0), float(self.w1), float(self.w2))
-        if any(x < 0.0 for x in w):
-            raise ValueError(f"dispersion weights must be nonnegative, got {w}")
+        if not all(np.isfinite(x) and x >= 0.0 for x in w):
+            raise ValueError(f"dispersion weights must be finite and nonnegative, got {w}")
         if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"dispersion weights must sum to 1, got sum={sum(w)!r}")
 

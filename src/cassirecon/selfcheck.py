@@ -58,16 +58,11 @@ def _scalar_wiener_reference(theta, labels, n_groups, sigma2):
     return out, acc / theta.size
 
 
-def run_selfcheck(
-    M: int = 8, N: int = 8, L: int = 4, K: int = 2, corrupt_weights: bool = False
-) -> list[CheckResult]:
+def run_selfcheck(M: int = 8, N: int = 8, L: int = 4, K: int = 2) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = np.random.default_rng(1234)
 
     weights = DispersionWeights(0.25, 0.5, 0.25)
-    if corrupt_weights:
-        # test hook: skip validation to simulate a broken build
-        object.__setattr__(weights, "w0", 0.3)
     apertures = generate_apertures(M, N, K, "complementary" if K % 2 == 0 else "random", seed=7)
     model = CassiModel(apertures, weights, bands=L)
 

@@ -252,7 +252,7 @@ def test_trace_derivative_matches_recomputation():
     # recompute the shrinkage statistics this iteration actually used
     q = pseudo_data(state.f, new.r, model)
     stats = estimate_stats(t.forward(q), smap)
-    assert abs(trace.deriv_mean[0] - shrink_derivative_mean(stats, new.sigma2, smap)) <= 1e-15
+    assert abs(trace.derivative_mean[0] - shrink_derivative_mean(stats, new.sigma2, smap)) <= 1e-15
 
 
 def test_run_is_deterministic():
@@ -265,7 +265,7 @@ def test_run_is_deterministic():
     assert np.array_equal(f1, f2)
     assert t1.sigma2 == t2.sigma2
     assert t1.residual_norm == t2.residual_norm
-    assert t1.deriv_mean == t2.deriv_mean
+    assert t1.derivative_mean == t2.derivative_mean
     assert t1.psnr == t2.psnr
 
 

@@ -166,6 +166,46 @@ def test_reconstruct_fista_with_lambda(workdir):
     assert lines[0] == "iter,objective,residual_norm,wall_ms"
 
 
+def test_reconstruct_fista_with_truth_trace_header(workdir):
+    code = run_cli(
+        "reconstruct", "--measurements", workdir / "meas.hsm",
+        "--apertures", workdir / "ap.hsa", "--solver", "fista",
+        "--lambda", 0.01, "--iters", 4, "--out", workdir / "recf.hsc",
+        "--truth", workdir / "cube.hsc", "--trace", workdir / "tracef.csv",
+    )
+    assert code == 0
+    lines = (workdir / "tracef.csv").read_text().splitlines()
+    assert lines[0] == "iter,objective,residual_norm,psnr,wall_ms"
+    assert len(lines) == 5
+
+
+@pytest.mark.parametrize("truth", [False, True])
+@pytest.mark.parametrize(
+    "solver, patched, broken, header",
+    [
+        # a non-finite noise estimate (AMP) or iterate (FISTA) in iteration 1
+        ("amp", "cassirecon.amp.noise_estimate", lambda r: float("nan"),
+         "iter,sigma2,residual_norm,derivative_mean{psnr},wall_ms"),
+        ("fista", "cassirecon.fista.soft_threshold", lambda theta, tau: np.full_like(theta, np.nan),
+         "iter,objective,residual_norm{psnr},wall_ms"),
+    ],
+)
+def test_divergence_at_first_iteration_flushes_header(
+    workdir, monkeypatch, solver, patched, broken, header, truth
+):
+    monkeypatch.setattr(patched, broken)
+    extra = ["--truth", workdir / "cube.hsc"] if truth else []
+    code = run_cli(
+        "reconstruct", "--measurements", workdir / "meas.hsm",
+        "--apertures", workdir / "ap.hsa", "--solver", solver, "--lambda", 0.01,
+        "--iters", 5, "--out", workdir / "x.hsc", "--trace", workdir / "t.csv", *extra,
+    )
+    assert code == 4
+    expected = header.format(psnr=",psnr" if truth else "")
+    assert (workdir / "t.csv").read_text() == expected + "\n"
+    assert not (workdir / "x.hsc").exists()
+
+
 def test_reconstruct_divergence_exit_4_flushes_trace(tmp_path):
     # undamped iterations on a low-rate instance blow up deterministically
     cube = phantom_cube(16, 16, 8, "gaussian-blobs", seed=3)
@@ -233,11 +273,12 @@ def test_eval_dim_mismatch_exit_2(workdir, tmp_path):
     ) == 2
 
 
-def test_selfcheck_passes_and_corrupt_hook_fails(capsys):
+def test_selfcheck_passes_and_corrupt_hook_fails(capsys, monkeypatch):
     assert run_cli("selfcheck") == 0
     out = capsys.readouterr().out
     assert "208" in out  # the 208-row materialized instance is exercised
-    assert run_cli("selfcheck", "--corrupt-weights") == 1
+    monkeypatch.setattr("cassirecon.selfcheck.measurement_count", lambda M, N, L, K: 0)
+    assert run_cli("selfcheck") == 1
 
 
 def test_export_slices(workdir, capsys):
@@ -266,3 +307,51 @@ def test_pipeline_reruns_byte_identical(workdir, tmp_path):
     assert run_cli(*rec, "--out", tmp_path / "r1.hsc") == 0
     assert run_cli(*rec, "--out", tmp_path / "r2.hsc") == 0
     assert (tmp_path / "r1.hsc").read_bytes() == (tmp_path / "r2.hsc").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, reader, argv",
+    [
+        ("cube.hsc", "read_cube", ["simulate", "--cube", "{cube}", "--apertures", "{ap}"]),
+        ("meas.hsm", "read_measurements",
+         ["reconstruct", "--measurements", "{meas}", "--apertures", "{ap}", "--iters", "1"]),
+        ("ap.hsa", "read_apertures", ["simulate", "--cube", "{cube}", "--apertures", "{ap}"]),
+    ],
+)
+@pytest.mark.parametrize("keep", [6, 15])
+def test_truncated_header_exit_2(workdir, capsys, name, reader, argv, keep):
+    bad = workdir / name
+    bad.write_bytes(bad.read_bytes()[:keep])  # valid magic, short header
+    with pytest.raises(ValueError, match="truncated header") as exc:
+        getattr(fileio, reader)(bad)
+    assert str(bad) in str(exc.value)
+    paths = {"cube": workdir / "cube.hsc", "meas": workdir / "meas.hsm", "ap": workdir / "ap.hsa"}
+    capsys.readouterr()
+    assert run_cli(*(a.format(**paths) for a in argv), "--out", workdir / "out.bin") == 2
+    assert "truncated header" in capsys.readouterr().err
+
+
+def test_measurements_with_nan_weights_exit_2(workdir, capsys):
+    path = workdir / "meas.hsm"
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = np.float64(np.nan).tobytes()  # w0 follows magic and 4 u32 dims
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run_cli(
+        "reconstruct", "--measurements", path, "--apertures", workdir / "ap.hsa",
+        "--iters", 3, "--out", workdir / "x.hsc",
+    )
+    assert code == 2
+    assert "weights" in capsys.readouterr().err
+    assert not (workdir / "x.hsc").exists()
+
+
+def test_reconstruct_fista_nan_lambda_exit_2(workdir, capsys):
+    capsys.readouterr()
+    code = run_cli(
+        "reconstruct", "--measurements", workdir / "meas.hsm",
+        "--apertures", workdir / "ap.hsa", "--solver", "fista", "--lambda", "nan",
+        "--iters", 3, "--out", workdir / "x.hsc",
+    )
+    assert code == 2
+    assert "regularization weight" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from cassirecon.fista import (
     soft_threshold,
     sweep_lambda,
 )
-from cassirecon.metrics import add_noise
+from cassirecon.metrics import Trace, add_noise
 from cassirecon.operator import (
     CassiModel,
     CodedApertureSet,
@@ -173,6 +173,12 @@ def test_config_validation():
         L1Config(lam=1.0, step=0.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        L1Config(lam=lam)
+
+
 def test_divergence_detected():
     model = small_model(seed=10)
     t = SparsifyingTransform(8, 8, 4)
@@ -191,3 +197,17 @@ def test_trace_csv_shape():
     lines = trace.to_csv().splitlines()
     assert lines[0] == "iter,objective,residual_norm,wall_ms"
     assert len(lines) == 8
+
+
+def test_divergence_error_carries_partial_trace():
+    model = small_model(seed=10)
+    t = SparsifyingTransform(8, 8, 4)
+    g = np.random.default_rng(10).standard_normal(model.m)
+    with pytest.raises(DivergenceError) as exc:
+        fista_run(g, model, t, L1Config(lam=1e-6, max_iter=50, step=1e300))
+    trace = exc.value.trace
+    assert isinstance(trace, Trace)
+    # the first iteration completed, the second blew up
+    assert exc.value.iteration == 2
+    assert len(trace) == 1 and len(trace.objective) == 1 and len(trace.wall_ms) == 1
+    assert trace.to_csv().splitlines()[0] == "iter,objective,residual_norm,wall_ms"

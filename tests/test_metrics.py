@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cassirecon.amp import AmpTrace
 from cassirecon.errors import DimensionError
-from cassirecon.metrics import add_noise, avg_psnr, measure_snr, psnr_slice
+from cassirecon.metrics import Trace, add_noise, avg_psnr, measure_snr, psnr_slice
 from cassirecon.phantoms import PHANTOM_KINDS, phantom_cube
 from cassirecon.transforms import SparsifyingTransform, subband_map
 
@@ -146,3 +147,27 @@ def test_gaussian_blobs_compressible():
     energy = np.sort(t.forward(cube.values) ** 2)[::-1]
     k = int(0.2 * energy.size)
     assert energy[:k].sum() >= 0.95 * energy.sum()
+
+
+def test_trace_columns_csv_and_attribute_read():
+    trace = Trace("a", "b")
+    assert len(trace) == 0
+    assert trace.to_csv() == "iter,a,b\n"
+    trace.append(a=1.5, b=2.0)
+    trace.append(a=0.25, b=-1.0)
+    assert len(trace) == 2
+    assert trace.a == [1.5, 0.25] and trace.b == [2.0, -1.0]
+    assert trace.to_csv() == "iter,a,b\n1,1.5,2.0\n2,0.25,-1.0\n"
+    with pytest.raises(AttributeError):
+        trace.missing
+
+
+def test_trace_append_adds_unseen_columns_in_order():
+    trace = Trace()
+    trace.append(x=1.0, y=2.0)
+    assert list(trace.columns) == ["x", "y"]
+    assert trace.to_csv().splitlines() == ["iter,x,y", "1,1.0,2.0"]
+
+
+def test_amp_trace_is_the_shared_trace():
+    assert AmpTrace is Trace

@@ -239,6 +239,15 @@ def test_weights_validation():
     DispersionWeights(0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "weights", [(float("nan"), 0.5, 0.5), (0.25, float("nan"), 0.25), (float("inf"), 0.0, 0.0)]
+)
+def test_weights_reject_non_finite(weights):
+    # NaN slips past both "x < 0" and the sum tolerance unless checked
+    with pytest.raises(ValueError, match="finite"):
+        DispersionWeights(*weights)
+
+
 def test_aperture_set_validation():
     with pytest.raises(ValueError):
         CodedApertureSet(np.full((1, 2, 2), 2, dtype=np.uint8))
