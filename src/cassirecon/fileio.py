@@ -172,8 +172,8 @@ def export_pgm_slices(cube: HyperCube, outdir: PathLike, peak: float = 1.0) -> l
 
     Files are named band_00.pgm, band_01.pgm, ... and returned in order.
     """
-    if peak <= 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"peak must be positive and finite, got {peak}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     arr = cube.as_array()

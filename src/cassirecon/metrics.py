@@ -52,8 +52,8 @@ def psnr_slice(ref_slice: np.ndarray, est_slice: np.ndarray, peak: float = 1.0) 
     est = np.asarray(est_slice, dtype=np.float64)
     if ref.shape != est.shape:
         raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
-    if peak <= 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean((ref - est) ** 2))
     if mse == 0.0:
         return float("inf")

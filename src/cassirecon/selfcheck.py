@@ -62,18 +62,8 @@ def run_selfcheck(M: int = 8, N: int = 8, L: int = 4, K: int = 2) -> list[CheckR
     results: list[CheckResult] = []
     rng = np.random.default_rng(1234)
 
-    weights = DispersionWeights(0.25, 0.5, 0.25)
     apertures = generate_apertures(M, N, K, "complementary" if K % 2 == 0 else "random", seed=7)
-    model = CassiModel(apertures, weights, bands=L)
-
-    w = weights.as_tuple()
-    results.append(
-        CheckResult(
-            "dispersion weights sum to 1",
-            abs(sum(w) - 1.0) <= 1e-12,
-            f"sum={sum(w)!r}",
-        )
-    )
+    model = CassiModel(apertures, DispersionWeights(0.25, 0.5, 0.25), bands=L)
 
     m_expected = K * M * (N + L + 1)
     results.append(

@@ -14,10 +14,10 @@ rejected, not padded - crop upstream).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from .errors import DimensionError
 
@@ -79,55 +79,81 @@ def _check_dyadic(M: int, N: int, levels: int) -> None:
         )
 
 
-def _analyze_axis0(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """One periodized filter-bank split along axis 0 (length must be even)."""
+def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
+    """One periodized filter-bank split along axis 0, written into ``lo`` and ``hi``.
+
+    Output i takes row (2i + t) mod n at tap t. Tap t reads the rows
+    ``x[s::2]`` (s = t mod n) for the first outputs and the wrapped rows
+    ``x[s % 2 : 2 * (s // 2) : 2]`` for the last ``s // 2``; s differs from t
+    only when the block is shorter than the filter. Each output accumulates
+    its taps in order from zero, as the gather form ``x[(2i + t) % n]`` does.
+    """
     n = x.shape[0]
     half = n // 2
-    base = 2 * np.arange(half)
-    lo = np.zeros((half,) + x.shape[1:])
-    hi = np.zeros_like(lo)
-    for t in range(h.size):
-        xt = x[(base + t) % n]
-        lo += h[t] * xt
-        hi += g[t] * xt
-    return lo, hi
+    np.multiply(x[0::2], h[0], out=lo)
+    np.multiply(x[0::2], g[0], out=hi)
+    for t in range(1, h.size):
+        s = t % n
+        k = s // 2
+        head, wrap = x[s::2], x[s % 2 : 2 * k : 2]
+        lo[: half - k] += h[t] * head
+        hi[: half - k] += g[t] * head
+        if k:
+            lo[half - k :] += h[t] * wrap
+            hi[half - k :] += g[t] * wrap
 
 
-def _synthesize_axis0(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Exact inverse of :func:`_analyze_axis0` (transpose of an orthogonal map)."""
+def _merge(lo: np.ndarray, hi: np.ndarray, out: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
+    """Transpose of :func:`_split`: rebuild ``out`` (2x the rows) from ``lo`` and ``hi``.
+
+    Taps 0 and 1 write every even and odd row once; later taps add in order.
+    """
     half = lo.shape[0]
     n = 2 * half
-    base = 2 * np.arange(half)
-    out = np.zeros((n,) + lo.shape[1:])
-    for t in range(h.size):
-        # target rows are distinct for fixed t, so fancy-index += is safe
-        out[(base + t) % n] += h[t] * lo + g[t] * hi
-    return out
+    out[0::2] = h[0] * lo + g[0] * hi
+    out[1::2] = h[1] * lo + g[1] * hi
+    for t in range(2, h.size):
+        s = t % n
+        k = s // 2
+        out[s::2] += h[t] * lo[: half - k] + g[t] * hi[: half - k]
+        if k:
+            out[s % 2 : 2 * k : 2] += h[t] * lo[half - k :] + g[t] * hi[half - k :]
 
 
-def _dwt2_level(block: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    lo, hi = _analyze_axis0(block, h, g)
-    stacked = np.concatenate([lo, hi], axis=0)
-    lo2, hi2 = _analyze_axis0(np.swapaxes(stacked, 0, 1), h, g)
-    return np.swapaxes(np.concatenate([lo2, hi2], axis=0), 0, 1)
+def _cols(a: np.ndarray) -> np.ndarray:
+    """View with the column axis first, so a split along axis 0 splits columns."""
+    return np.swapaxes(a, 0, 1)
 
 
-def _idwt2_level(block: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n = block.shape[1]
-    t = np.swapaxes(block, 0, 1)
-    cols = np.swapaxes(_synthesize_axis0(t[: n // 2], t[n // 2 :], h, g), 0, 1)
-    m = cols.shape[0]
-    return _synthesize_axis0(cols[: m // 2], cols[m // 2 :], h, g)
+@lru_cache(maxsize=None)
+def _dct_matrix(L: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix: row p is the p-th cosine over L samples."""
+    l = np.arange(L)
+    D = np.sqrt(2.0 / L) * np.cos(np.pi * (2 * l[None, :] + 1) * l[:, None] / (2 * L))
+    D[0] = np.sqrt(1.0 / L)
+    D.flags.writeable = False
+    return D
+
+
+def _spectral(cube: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Apply ``D`` along the last axis; the result is a fresh Fortran-ordered cube.
+
+    On the Fortran-ordered (M*N, L) view X, ``(D @ X.T).T`` keeps that order,
+    so the reshape back to (M, N, L) copies nothing.
+    """
+    cube = np.asarray(cube, dtype=np.float64)
+    X = cube.reshape((-1, cube.shape[-1]), order="F")
+    return (D @ X.T).T.reshape(cube.shape, order="F")
 
 
 def dct_spectral_forward(cube: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II along the spectral (last) axis of an (M, N, L) cube."""
-    return dct(np.asarray(cube, dtype=np.float64), type=2, norm="ortho", axis=-1)
+    return _spectral(cube, _dct_matrix(np.shape(cube)[-1]))
 
 
 def dct_spectral_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse (transpose) of :func:`dct_spectral_forward`."""
-    return idct(np.asarray(coeffs, dtype=np.float64), type=2, norm="ortho", axis=-1)
+    return _spectral(coeffs, _dct_matrix(np.shape(coeffs)[-1]).T)
 
 
 @dataclass(frozen=True)
@@ -173,27 +199,35 @@ class SparsifyingTransform:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Coefficient vector of a cube (flat or (M, N, L)-shaped input)."""
-        cube = self._as_cube(x)
         h, g = _filters(self.wavelet)
-        out = dct_spectral_forward(cube)
+        out = dct_spectral_forward(self._as_cube(x))
+        buf = np.empty_like(out)
         m, n = self.rows, self.cols
         for _ in range(self.levels):
-            out[:m, :n, :] = _dwt2_level(out[:m, :n, :], h, g)
+            # rows of the block into buf, then the columns of buf back into out
+            _split(out[:m, :n], buf[: m // 2, :n], buf[m // 2 : m, :n], h, g)
+            _split(_cols(buf[:m, :n]), _cols(out[:m, : n // 2]), _cols(out[:m, n // 2 : n]), h, g)
             m //= 2
             n //= 2
         return out.reshape(-1, order="F")
 
     def inverse(self, theta: np.ndarray) -> np.ndarray:
-        """Cube (flat) from a coefficient vector; exact inverse of ``forward``."""
+        """Cube (flat) from a coefficient vector; exact inverse of ``forward``.
+
+        The spectral inverse runs first: it commutes with the per-band
+        wavelet and yields the fresh array the wavelet levels then rebuild.
+        """
         theta = np.asarray(theta, dtype=np.float64).reshape(-1)
         if theta.size != self.n:
             raise DimensionError(f"expected length {self.n}, got {theta.size}")
         h, g = _filters(self.wavelet)
-        out = theta.reshape((self.rows, self.cols, self.bands), order="F").copy()
+        out = dct_spectral_inverse(theta.reshape((self.rows, self.cols, self.bands), order="F"))
+        buf = np.empty_like(out)
         for j in range(self.levels, 0, -1):
             m, n = self.rows >> (j - 1), self.cols >> (j - 1)
-            out[:m, :n, :] = _idwt2_level(out[:m, :n, :], h, g)
-        out = dct_spectral_inverse(out)
+            # columns of the block into buf, then the rows of buf back into out
+            _merge(_cols(out[:m, : n // 2]), _cols(out[:m, n // 2 : n]), _cols(buf[:m, :n]), h, g)
+            _merge(buf[: m // 2, :n], buf[m // 2 : m, :n], out[:m, :n], h, g)
         return out.reshape(-1, order="F")
 
 

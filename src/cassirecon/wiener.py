@@ -14,6 +14,7 @@ coefficients change each iteration and the shrinkage must track them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -73,6 +74,26 @@ def _group_gains(stats: SubbandStats, sigma2: float) -> np.ndarray:
     return gains
 
 
+def _shrink(
+    stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: Optional[np.ndarray] = None
+) -> float:
+    """Mean per-coefficient gain; also shrinks ``theta`` in place when given.
+
+    The group gains are gathered through ``labels`` once and serve both the
+    shrinkage and its derivative, so the denoiser and the two public
+    functions below run the same arithmetic.
+    """
+    gains = _group_gains(stats, sigma2)[smap.labels]
+    if theta is not None:
+        mu = stats.mean[smap.labels]
+        theta -= mu
+        theta *= gains
+        theta += mu
+    # cumsum fixes a left-to-right accumulation order, reproducible across
+    # backends and identical to a scalar reference loop
+    return float(np.cumsum(gains)[-1]) / gains.size
+
+
 def wiener_shrink(
     theta: np.ndarray, stats: SubbandStats, sigma2: float, smap: SubbandMap
 ) -> np.ndarray:
@@ -81,10 +102,9 @@ def wiener_shrink(
     A group whose variance does not exceed the noise variance collapses to
     its mean (gain 0); with sigma2 = 0 every gain is 1.
     """
-    theta = _check_theta(theta, smap)
-    gains = _group_gains(stats, sigma2)[smap.labels]
-    mu = stats.mean[smap.labels]
-    return gains * (theta - mu) + mu
+    out = _check_theta(theta, smap).copy()
+    _shrink(stats, sigma2, smap, out)
+    return out
 
 
 def shrink_derivative_mean(stats: SubbandStats, sigma2: float, smap: SubbandMap) -> float:
@@ -93,11 +113,7 @@ def shrink_derivative_mean(stats: SubbandStats, sigma2: float, smap: SubbandMap)
     This equals the mean derivative of the shrinkage map and feeds the AMP
     residual correction term.
     """
-    per_coeff = _group_gains(stats, sigma2)[smap.labels]
-    # cumsum fixes a left-to-right accumulation order, reproducible across
-    # backends and identical to a scalar reference loop
-    total = float(np.cumsum(per_coeff)[-1])
-    return total / per_coeff.size
+    return _shrink(stats, sigma2, smap)
 
 
 def denoise_cube(
@@ -106,9 +122,12 @@ def denoise_cube(
     transform: SparsifyingTransform,
     smap: SubbandMap,
 ) -> tuple[np.ndarray, float]:
-    """Denoise a vectorized cube; returns (estimate, mean shrinkage gain)."""
+    """Denoise a vectorized cube; returns (estimate, mean shrinkage gain).
+
+    The coefficients are shrunk in place: ``transform.forward`` returns a
+    fresh array.
+    """
     theta = transform.forward(q)
     stats = estimate_stats(theta, smap)
-    theta_hat = wiener_shrink(theta, stats, sigma2, smap)
-    deriv = shrink_derivative_mean(stats, sigma2, smap)
-    return transform.inverse(theta_hat), deriv
+    deriv = _shrink(stats, sigma2, smap, theta)
+    return transform.inverse(theta), deriv

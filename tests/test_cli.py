@@ -276,6 +276,7 @@ def test_eval_dim_mismatch_exit_2(workdir, tmp_path):
 def test_selfcheck_passes_and_corrupt_hook_fails(capsys, monkeypatch):
     assert run_cli("selfcheck") == 0
     out = capsys.readouterr().out
+    assert "7/7 checks passed" in out
     assert "208" in out  # the 208-row materialized instance is exercised
     monkeypatch.setattr("cassirecon.selfcheck.measurement_count", lambda M, N, L, K: 0)
     assert run_cli("selfcheck") == 1
@@ -289,6 +290,30 @@ def test_export_slices(workdir, capsys):
     assert code == 0
     files = sorted((workdir / "slices").iterdir())
     assert [f.name for f in files] == [f"band_{l:02d}.pgm" for l in range(4)]
+
+
+@pytest.mark.parametrize("peak", ["nan", "inf"])
+def test_eval_non_finite_peak_exit_2(workdir, tmp_path, capsys, peak):
+    other = phantom_cube(16, 16, 4, "gaussian-blobs", seed=4)
+    fileio.write_cube(tmp_path / "other.hsc", other)
+    code = run_cli(
+        "eval", "--truth", workdir / "cube.hsc", "--estimate", tmp_path / "other.hsc",
+        "--report", tmp_path / "r.csv", "--peak", peak,
+    )
+    assert code == 2
+    assert "peak" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("peak", ["nan", "inf"])
+def test_export_slices_non_finite_peak_exit_2(workdir, capsys, peak):
+    code = run_cli(
+        "export-slices", "--cube", workdir / "cube.hsc", "--outdir", workdir / "slices",
+        "--peak", peak,
+    )
+    assert code == 2
+    assert "peak" in capsys.readouterr().err
+    assert not (workdir / "slices").exists()
 
 
 def test_pipeline_reruns_byte_identical(workdir, tmp_path):

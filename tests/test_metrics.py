@@ -63,8 +63,9 @@ def test_psnr_formula():
     assert psnr_slice(ref, ref) == np.inf
     with pytest.raises(DimensionError):
         psnr_slice(np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        psnr_slice(ref, est, peak=0.0)
+    for peak in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="peak"):
+            psnr_slice(ref, est, peak=peak)
 
 
 def test_psnr_translation_consistent():

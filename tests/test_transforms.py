@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cassirecon.errors import DimensionError
 from cassirecon.transforms import (
+    WAVELET_FILTERS,
     SparsifyingTransform,
     dct_spectral_forward,
     dct_spectral_inverse,
@@ -197,3 +199,108 @@ def test_subband_map_is_partition():
         assert np.all(np.bincount(smap.labels, minlength=smap.n_groups) == smap.sizes)
         assert smap.labels.min() == 0
         assert smap.labels.max() == smap.n_groups - 1
+
+
+
+def _filter_pair(wavelet):
+    h = WAVELET_FILTERS[wavelet]
+    return h, ((-1.0) ** np.arange(h.size)) * h[::-1]
+
+
+def _analyze_axis0_oracle(x, h, g):
+    """Gather-form periodized split along axis 0: row 2i + t (mod n) feeds output i."""
+    n = x.shape[0]
+    base = 2 * np.arange(n // 2)
+    lo = np.zeros((n // 2,) + x.shape[1:])
+    hi = np.zeros_like(lo)
+    for t in range(h.size):
+        xt = x[(base + t) % n]
+        lo += h[t] * xt
+        hi += g[t] * xt
+    return lo, hi
+
+
+def _synthesize_axis0_oracle(lo, hi, h, g):
+    """Gather-form transpose of :func:`_analyze_axis0_oracle`."""
+    n = 2 * lo.shape[0]
+    base = 2 * np.arange(n // 2)
+    out = np.zeros((n,) + lo.shape[1:])
+    for t in range(h.size):
+        out[(base + t) % n] += h[t] * lo + g[t] * hi
+    return out
+
+
+def psi_oracle(cube, wavelet, levels):
+    """Spectral DCT, then the packed J-level wavelet of each band (rows split, then columns)."""
+    h, g = _filter_pair(wavelet)
+    out = dct_spectral_forward(cube)
+    m, n = cube.shape[:2]
+    for _ in range(levels):
+        rows = np.concatenate(_analyze_axis0_oracle(out[:m, :n], h, g), axis=0)
+        cols = np.concatenate(_analyze_axis0_oracle(np.swapaxes(rows, 0, 1), h, g), axis=0)
+        out[:m, :n] = np.swapaxes(cols, 0, 1)
+        m //= 2
+        n //= 2
+    return out.reshape(-1, order="F")
+
+
+def psi_t_oracle(theta, shape, wavelet, levels):
+    """Transpose of :func:`psi_oracle`: columns merged, then rows, coarsest level first."""
+    h, g = _filter_pair(wavelet)
+    out = theta.reshape(shape, order="F").copy()
+    for j in range(levels, 0, -1):
+        m, n = shape[0] >> (j - 1), shape[1] >> (j - 1)
+        t = np.swapaxes(out[:m, :n], 0, 1)
+        cols = np.swapaxes(_synthesize_axis0_oracle(t[: n // 2], t[n // 2 :], h, g), 0, 1)
+        out[:m, :n] = _synthesize_axis0_oracle(cols[: m // 2], cols[m // 2 :], h, g)
+    return dct_spectral_inverse(out).reshape(-1, order="F")
+
+
+# db4 blocks of 2 and 4 rows are shorter than the filter and wrap more than once
+@pytest.mark.parametrize("wavelet", ["haar", "db4"])
+@pytest.mark.parametrize(
+    "M, N, L, levels",
+    [(8, 8, 1, 3), (16, 8, 1, 2), (16, 16, 1, 1), (32, 16, 1, 3),
+     (8, 8, 4, 3), (16, 8, 5, 2), (32, 32, 8, 2)],
+)
+def test_psi_matches_gather_form_oracle(wavelet, M, N, L, levels):
+    rng = np.random.default_rng(M + N + L + levels)
+    t = SparsifyingTransform(M, N, L, wavelet, levels)
+    x = rng.standard_normal(t.n)
+    y = rng.standard_normal(t.n)
+    got, want = t.forward(x), psi_oracle(x.reshape((M, N, L), order="F"), wavelet, levels)
+    got_t, want_t = t.inverse(y), psi_t_oracle(y, (M, N, L), wavelet, levels)
+    if L == 1:
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_t, want_t)
+    else:
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(got_t - want_t).max() <= 1e-13
+
+
+def test_psi_inverse_matches_dense_transpose_db4():
+    t = SparsifyingTransform(8, 8, 4, "db4", 3)
+    dense = np.stack([t.forward(e) for e in np.eye(t.n)], axis=1)
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal(t.n)
+    assert np.abs(t.inverse(y) - dense.T @ y).max() <= 1e-13
+
+
+@st.composite
+def psi_instances(draw):
+    M = 1 << draw(st.integers(1, 6))
+    N = 1 << draw(st.integers(1, 6))
+    L = draw(st.integers(1, 8))
+    wavelet = draw(st.sampled_from(["haar", "db4"]))
+    levels = draw(st.integers(1, default_levels(M, N)))
+    return SparsifyingTransform(M, N, L, wavelet, levels), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(psi_instances())
+def test_psi_round_trip_and_energy_property(instance):
+    t, seed = instance
+    x = np.random.default_rng(seed).standard_normal(t.n)
+    theta = t.forward(x)
+    assert abs(np.linalg.norm(theta) / np.linalg.norm(x) - 1.0) <= 1e-12
+    assert np.abs(t.inverse(theta) - x).max() <= 1e-12

@@ -217,3 +217,17 @@ def test_denoise_derivative_consistent_with_stats():
     _, deriv = denoise_cube(q, sigma2, t, smap)
     stats = estimate_stats(t.forward(q), smap)
     assert abs(deriv - shrink_derivative_mean(stats, sigma2, smap)) <= 1e-15
+
+
+def test_denoise_cube_matches_public_shrink_bit_for_bit():
+    # the in-place shrink in denoise_cube runs the arithmetic criterion 04 checks
+    t = SparsifyingTransform(16, 8, 3)
+    smap = subband_map(16, 8, 3, t.levels)
+    q = np.random.default_rng(9).standard_normal(t.n)
+    sigma2 = 0.7
+    theta = t.forward(q)
+    stats = estimate_stats(theta, smap)
+    out, deriv = denoise_cube(q, sigma2, t, smap)
+    assert np.array_equal(out, t.inverse(wiener_shrink(theta, stats, sigma2, smap)))
+    assert deriv == shrink_derivative_mean(stats, sigma2, smap)
+    assert np.array_equal(theta, t.forward(q))  # wiener_shrink leaves its input alone
