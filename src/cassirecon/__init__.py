@@ -7,13 +7,7 @@ or with an accelerated proximal-gradient l1 baseline.
 """
 
 from .amp import AmpConfig, AmpTrace, run_amp
-from .cubes import (
-    HyperCube,
-    MeasurementSet,
-    devectorize_cube,
-    normalize_cube,
-    vectorize_cube,
-)
+from .cubes import HyperCube, MeasurementSet
 from .errors import DimensionError, DivergenceError
 from .fista import L1Config, fista_run, power_method, soft_threshold, sweep_lambda
 from .metrics import add_noise, avg_psnr, measure_snr, psnr_slice
@@ -43,9 +37,6 @@ __all__ = [
     "run_amp",
     "HyperCube",
     "MeasurementSet",
-    "devectorize_cube",
-    "normalize_cube",
-    "vectorize_cube",
     "DimensionError",
     "DivergenceError",
     "L1Config",

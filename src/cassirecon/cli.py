@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
-
-import numpy as np
+from pathlib import Path
 
 from . import fileio
 from .amp import AmpConfig, run_amp
 from .cubes import HyperCube, MeasurementSet
 from .errors import DivergenceError
 from .fista import L1Config, fista_run
-from .metrics import add_noise, per_band_psnr
+from .metrics import PsnrSummary, add_noise, per_band_psnr
 from .operator import (
     DEFAULT_WEIGHTS,
     CassiModel,
@@ -71,7 +71,7 @@ def _cmd_aperture(args) -> int:
     fill = apertures.masks.mean()
     print(
         f"wrote {args.out}: K={apertures.shots} {apertures.rows}x{apertures.cols} "
-        f"scheme={apertures.scheme} seed={args.seed} open-fraction={fill:.4f}"
+        f"scheme={args.scheme} seed={args.seed} open-fraction={fill:.4f}"
     )
     return EXIT_OK
 
@@ -92,8 +92,7 @@ def _cmd_simulate(args) -> int:
         g, sigma = add_noise(g, args.snr, args.seed)
     ms = MeasurementSet(
         shots=model.shots, rows=model.rows, cols=model.cols, bands=model.bands,
-        values=g, weights=weights.as_tuple(), seed=args.seed,
-        snr_db=args.snr, sigma_noise=sigma, scheme=apertures.scheme,
+        values=g, weights=weights.as_tuple(), seed=args.seed, sigma_noise=sigma,
     )
     fileio.write_measurements(args.out, ms)
     snr_note = f"cassi-snr={args.snr}dB sigma_noise={sigma:.6g}" if args.snr is not None else "noiseless"
@@ -106,7 +105,18 @@ def _write_trace(path: str, trace) -> None:
         fileio.atomic_write(path, trace.to_csv().encode("ascii"))
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError a write to ``path`` would meet, before any work is done."""
+    if path:
+        try:
+            tempfile.TemporaryFile(dir=Path(path).parent).close()
+        except OSError as err:
+            raise OSError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _cmd_reconstruct(args) -> int:
+    _check_writable(args.out)
+    _check_writable(args.trace)
     ms, model = _load_model(args.measurements, args.apertures)
     truth = None
     if args.truth:
@@ -158,13 +168,11 @@ def _cmd_eval(args) -> int:
     if truth.shape != estimate.shape:
         raise ValueError(f"cube shapes differ: {truth.shape} vs {estimate.shape}")
     band_psnr = per_band_psnr(truth.as_array(), estimate.as_array(), args.peak)
-    finite = np.isfinite(band_psnr)
-    average = float(band_psnr[finite].mean()) if finite.any() else float("inf")
+    average, n_inf = PsnrSummary.from_bands(band_psnr)
     lines = ["band,psnr_db"]
     lines += [f"{l},{repr(float(p))}" for l, p in enumerate(band_psnr)]
     lines.append(f"average,{repr(average)}")
     fileio.atomic_write(args.report, ("\n".join(lines) + "\n").encode("ascii"))
-    n_inf = int(band_psnr.size - finite.sum())
     flag = f" ({n_inf} band(s) identical: inf sentinel)" if n_inf else ""
     print(f"average psnr: {average:.4f} dB over {truth.bands} bands{flag}")
     return EXIT_OK
@@ -260,9 +268,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -13,8 +13,7 @@ the materialized measurement matrix alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +31,10 @@ def voxel_flat_index(i: int, j: int, l: int, M: int, N: int) -> int:
     return i + M * j + M * N * l
 
 
-def voxel_from_flat(idx: int, M: int, N: int) -> tuple[int, int, int]:
-    i = idx % M
-    j = (idx // M) % N
-    l = idx // (M * N)
-    return i, j, l
-
-
 def measurement_flat_index(i: int, jp: int, k: int, M: int, N: int, L: int) -> int:
     """Flat position of detector sample (i, j', k); the FPA is M x (N+L+1)."""
     width = N + L + 1
     return i + M * jp + M * width * k
-
-
-def measurement_from_flat(idx: int, M: int, N: int, L: int) -> tuple[int, int, int]:
-    width = N + L + 1
-    i = idx % M
-    jp = (idx // M) % width
-    k = idx // (M * width)
-    return i, jp, k
 
 
 @dataclass(frozen=True)
@@ -59,14 +43,13 @@ class HyperCube:
 
     Values are stored flat (see module docstring for the ordering) as
     float64, locked read-only after construction so instances can be shared
-    freely. A cube flagged ``normalized`` guarantees values in [0, 1].
+    freely.
     """
 
     rows: int
     cols: int
     bands: int
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         _check_dims(self.rows, self.cols, self.bands)
@@ -78,8 +61,6 @@ class HyperCube:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("cube values must be finite")
-        if self.normalized and (v.min() < 0.0 or v.max() > 1.0):
-            raise ValueError("normalized cube must have values in [0, 1]")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -97,12 +78,12 @@ class HyperCube:
         return self.values.reshape(self.shape, order="F")
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, normalized: bool = False) -> "HyperCube":
+    def from_array(cls, arr: np.ndarray) -> "HyperCube":
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 3:
             raise DimensionError(f"expected a 3D array, got ndim={arr.ndim}")
         M, N, L = arr.shape
-        return cls(M, N, L, arr.reshape(-1, order="F"), normalized=normalized)
+        return cls(M, N, L, arr.reshape(-1, order="F"))
 
 
 @dataclass(frozen=True)
@@ -110,8 +91,8 @@ class MeasurementSet:
     """Vectorized FPA measurements from K shots, with acquisition provenance.
 
     ``values`` has length K*M*(N+L+1). Metadata mirrors what the measurement
-    file format records: dispersion weights, the run seed, the target SNR
-    (None when noiseless) and the realized noise standard deviation.
+    file format records: dispersion weights, the run seed and the realized
+    noise standard deviation (0 when noiseless).
     """
 
     shots: int
@@ -121,9 +102,7 @@ class MeasurementSet:
     values: np.ndarray
     weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     seed: int = 0
-    snr_db: Optional[float] = None
     sigma_noise: float = 0.0
-    scheme: str = field(default="unknown")
 
     def __post_init__(self):
         _check_dims(self.shots, self.rows, self.cols, self.bands)
@@ -146,33 +125,3 @@ class MeasurementSet:
     @property
     def m(self) -> int:
         return self.shots * self.rows * self.fpa_width
-
-
-def vectorize_cube(cube: HyperCube) -> np.ndarray:
-    """Flat copy of the cube values in the normative order."""
-    return cube.values.copy()
-
-
-def devectorize_cube(v: np.ndarray, M: int, N: int, L: int) -> HyperCube:
-    """Inverse of :func:`vectorize_cube`; rejects length mismatches."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    _check_dims(M, N, L)
-    if v.size != M * N * L:
-        raise DimensionError(f"expected length {M * N * L}, got {v.size}")
-    return HyperCube(M, N, L, v)
-
-
-def normalize_cube(cube: HyperCube) -> tuple[HyperCube, float]:
-    """Scale a cube so its maximum is 1; returns (cube, scale) for PSNR bookkeeping.
-
-    An already-normalized cube (max exactly 1) is returned unchanged with
-    scale 1, so the operation is idempotent.
-    """
-    scale = float(cube.values.max())
-    if scale <= 0.0:
-        raise ValueError("cannot normalize a cube with non-positive maximum")
-    if scale == 1.0:
-        return cube, 1.0
-    scaled = cube.values / scale
-    flag = bool(scaled.min() >= 0.0)
-    return HyperCube(cube.rows, cube.cols, cube.bands, scaled, normalized=flag), scale

@@ -142,31 +142,6 @@ def write_pgm(path: PathLike, image: np.ndarray) -> None:
     atomic_write(path, header + np.ascontiguousarray(img).tobytes())
 
 
-def read_pgm(path: PathLike) -> np.ndarray:
-    data = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM file")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos, count=width * height)
-    return pixels.reshape((height, width))
-
-
 def export_pgm_slices(cube: HyperCube, outdir: PathLike, peak: float = 1.0) -> list[Path]:
     """One grayscale PGM per spectral band, linearly scaled by ``peak``.
 

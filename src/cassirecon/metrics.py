@@ -20,13 +20,21 @@ def add_noise(g_clean: np.ndarray, snr_db: float, seed: int = 0) -> tuple[np.nda
     """Add seeded zero-mean Gaussian noise at a target cassi-snr.
 
     Returns (noisy measurements, noise standard deviation). The clean
-    measurements must have positive mean or the SNR target is undefined.
+    measurements must have positive mean or the SNR target is undefined, and
+    the target must give a finite, positive standard deviation.
     """
     g = np.asarray(g_clean, dtype=np.float64).reshape(-1)
     mu = float(g.mean())
     if mu <= 0.0:
         raise ValueError(f"cassi-snr needs positive measurement mean, got {mu}")
-    sigma = mu / 10.0 ** (snr_db / 10.0)
+    if not np.isfinite(snr_db):
+        raise ValueError(f"cassi-snr must be finite, got {snr_db} dB")
+    try:
+        sigma = mu / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) outside float range
+        sigma = 0.0
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"cassi-snr {snr_db} dB gives no finite positive noise level")
     rng = np.random.default_rng(seed)
     return g + rng.normal(0.0, sigma, g.size), sigma
 
@@ -75,23 +83,23 @@ class PsnrSummary(NamedTuple):
     value: float
     infinite_bands: int
 
-    @property
-    def flagged(self) -> bool:
-        return self.infinite_bands > 0
+    @classmethod
+    def from_bands(cls, band_psnr: np.ndarray) -> "PsnrSummary":
+        """Mean of the finite band PSNRs and the count of infinite ones.
+
+        When every band is infinite (identical cubes) the sentinel propagates
+        as value = +inf.
+        """
+        finite = np.isfinite(band_psnr)
+        n_inf = int(band_psnr.size - finite.sum())
+        if not finite.any():
+            return cls(float("inf"), n_inf)
+        return cls(float(band_psnr[finite].mean()), n_inf)
 
 
 def avg_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0) -> PsnrSummary:
-    """Mean per-band PSNR; infinite bands are excluded and counted.
-
-    When every band is infinite (identical cubes) the sentinel propagates
-    as value = +inf with the flag set.
-    """
-    band_psnr = per_band_psnr(ref_cube, est_cube, peak)
-    finite = np.isfinite(band_psnr)
-    n_inf = int(band_psnr.size - finite.sum())
-    if not finite.any():
-        return PsnrSummary(float("inf"), n_inf)
-    return PsnrSummary(float(band_psnr[finite].mean()), n_inf)
+    """Mean per-band PSNR; infinite bands are excluded and counted."""
+    return PsnrSummary.from_bands(per_band_psnr(ref_cube, est_cube, peak))
 
 
 def reference_cube(

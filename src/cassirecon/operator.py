@@ -69,7 +69,6 @@ class CodedApertureSet:
     """K binary aperture masks, one M x N pattern per shot."""
 
     masks: np.ndarray
-    scheme: str = "custom"
 
     def __post_init__(self):
         m = np.asarray(self.masks)
@@ -106,7 +105,6 @@ def generate_apertures(
     """
     if min(M, N, K) < 1:
         raise DimensionError(f"invalid aperture dims {(M, N, K)}")
-    scheme = {"pairwise-complementary": "complementary"}.get(scheme, scheme)
     rng = np.random.default_rng(seed)
     if scheme == "random":
         masks = rng.integers(0, 2, size=(K, M, N), dtype=np.uint8)
@@ -119,7 +117,7 @@ def generate_apertures(
         masks[1::2] = 1 - base
     else:
         raise ValueError(f"unknown aperture scheme {scheme!r}")
-    return CodedApertureSet(masks, scheme=scheme)
+    return CodedApertureSet(masks)
 
 
 @dataclass(frozen=True)

@@ -99,4 +99,4 @@ def phantom_cube(M: int, N: int, L: int, kind: str = "gaussian-blobs", seed: int
     peak = arr.max()
     if peak <= 0.0:
         raise ValueError("degenerate phantom draw (all zero)")
-    return HyperCube.from_array(arr / peak, normalized=True)
+    return HyperCube.from_array(arr / peak)

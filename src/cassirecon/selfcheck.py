@@ -83,16 +83,8 @@ def run_selfcheck(M: int = 8, N: int = 8, L: int = 4, K: int = 2) -> list[CheckR
         err = max(err, abs(lhs - rhs) / (np.linalg.norm(f) * np.linalg.norm(g)))
     results.append(CheckResult("adjoint identity (20 pairs)", err <= 1e-10, f"max rel err={err:.3e}"))
 
-    H = materialize(model)
-    results.append(
-        CheckResult(
-            f"materialized matrix shape {model.m}x{model.n}",
-            H.shape == (model.m, model.n),
-            f"shape={H.shape}",
-        )
-    )
     f = rng.standard_normal(model.n)
-    dense_err = float(np.abs(H @ f - forward_apply(model, f)).max())
+    dense_err = float(np.abs(materialize(model) @ f - forward_apply(model, f)).max())
     results.append(
         CheckResult("matrix-free forward matches dense", dense_err <= 1e-12, f"max abs err={dense_err:.3e}")
     )

@@ -187,18 +187,14 @@ class SparsifyingTransform:
         return self.rows * self.cols * self.bands
 
     def _as_cube(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 3:
-            if x.shape != (self.rows, self.cols, self.bands):
-                raise DimensionError(f"expected cube shape {(self.rows, self.cols, self.bands)}, got {x.shape}")
-            return x
-        x = x.reshape(-1)
+        """A vector of length ``n`` as an (M, N, L) cube in the flat-index order."""
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.size != self.n:
             raise DimensionError(f"expected length {self.n}, got {x.size}")
         return x.reshape((self.rows, self.cols, self.bands), order="F")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Coefficient vector of a cube (flat or (M, N, L)-shaped input)."""
+        """Coefficient vector of a vectorized cube."""
         h, g = _filters(self.wavelet)
         out = dct_spectral_forward(self._as_cube(x))
         buf = np.empty_like(out)
@@ -217,11 +213,8 @@ class SparsifyingTransform:
         The spectral inverse runs first: it commutes with the per-band
         wavelet and yields the fresh array the wavelet levels then rebuild.
         """
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        if theta.size != self.n:
-            raise DimensionError(f"expected length {self.n}, got {theta.size}")
         h, g = _filters(self.wavelet)
-        out = dct_spectral_inverse(theta.reshape((self.rows, self.cols, self.bands), order="F"))
+        out = dct_spectral_inverse(self._as_cube(theta))
         buf = np.empty_like(out)
         for j in range(self.levels, 0, -1):
             m, n = self.rows >> (j - 1), self.cols >> (j - 1)
@@ -229,15 +222,6 @@ class SparsifyingTransform:
             _merge(_cols(out[:m, : n // 2]), _cols(out[:m, n // 2 : n]), _cols(buf[:m, :n]), h, g)
             _merge(buf[: m // 2, :n], buf[m // 2 : m, :n], out[:m, :n], h, g)
         return out.reshape(-1, order="F")
-
-
-#: Wavelet subband names at depth J: index 0 is the level-J approximation,
-#: then (lh, hl, hh) triples from the finest level (j=1) outward.
-def subband_names(levels: int) -> list[str]:
-    names = [f"ll{levels}"]
-    for j in range(1, levels + 1):
-        names += [f"lh{j}", f"hl{j}", f"hh{j}"]
-    return names
 
 
 @dataclass(frozen=True)
@@ -259,11 +243,6 @@ class SubbandMap:
     @property
     def n_groups(self) -> int:
         return self.bands * (3 * self.levels + 1)
-
-    def describe(self, group_id: int) -> tuple[int, str]:
-        """(spectral band, wavelet subband name) for a group id."""
-        per_band = 3 * self.levels + 1
-        return group_id // per_band, subband_names(self.levels)[group_id % per_band]
 
 
 def spatial_subband_labels(M: int, N: int, levels: int) -> np.ndarray:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +81,18 @@ def test_simulate_records_noise_sigma(workdir):
     assert ms.seed == 7
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "4000", "-4000"])
+def test_simulate_out_of_range_snr_exit_2(workdir, capsys, snr):
+    out = workdir / "bad.hsm"
+    code = run_cli(
+        "simulate", "--cube", workdir / "cube.hsc", "--apertures", workdir / "ap.hsa",
+        f"--snr={snr}", "--out", out,
+    )
+    assert code == 2
+    assert "cassi-snr" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_dim_mismatch_exit_2(workdir, tmp_path):
     other = phantom_cube(8, 8, 4, "gaussian-blobs", seed=0)
     fileio.write_cube(tmp_path / "small.hsc", other)
@@ -90,6 +107,25 @@ def test_missing_file_exit_3(tmp_path):
         "simulate", "--cube", tmp_path / "nope.hsc", "--apertures", tmp_path / "nope.hsa",
         "--out", tmp_path / "x.hsm",
     ) == 3
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_reconstruct_unwritable_output_exit_3_before_reading(workdir, capsys, monkeypatch, flag):
+    def unexpected_read(path):
+        raise AssertionError(f"read {path} before checking the output paths")
+
+    monkeypatch.setattr("cassirecon.fileio.read_measurements", unexpected_read)
+    paths = {"--out": workdir / "rec.hsc", "--trace": workdir / "trace.csv"}
+    paths[flag] = workdir / "missing" / "x"
+    before = sorted(workdir.iterdir())
+    code = run_cli(
+        "reconstruct", "--measurements", workdir / "meas.hsm",
+        "--apertures", workdir / "ap.hsa", "--iters", 2,
+        "--out", paths["--out"], "--trace", paths["--trace"],
+    )
+    assert code == 3
+    assert f"cannot write {paths[flag]}" in capsys.readouterr().err
+    assert sorted(workdir.iterdir()) == before
 
 
 def test_reconstruct_defaults():
@@ -276,8 +312,8 @@ def test_eval_dim_mismatch_exit_2(workdir, tmp_path):
 def test_selfcheck_passes_and_corrupt_hook_fails(capsys, monkeypatch):
     assert run_cli("selfcheck") == 0
     out = capsys.readouterr().out
-    assert "7/7 checks passed" in out
-    assert "208" in out  # the 208-row materialized instance is exercised
+    assert "6/6 checks passed" in out
+    assert "208" in out  # the 208-measurement instance is exercised
     monkeypatch.setattr("cassirecon.selfcheck.measurement_count", lambda M, N, L, K: 0)
     assert run_cli("selfcheck") == 1
 
@@ -380,3 +416,18 @@ def test_reconstruct_fista_nan_lambda_exit_2(workdir, capsys):
     )
     assert code == 2
     assert "regularization weight" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    # what `python -m cassirecon.cli` runs, as the benchmark's CLI workload does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli(*args):
+        cmd = [sys.executable, "-m", "cassirecon.cli", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    done = cli("selfcheck")
+    assert done.returncode == 0
+    assert "6/6 checks passed" in done.stdout
+    assert cli("selfcheck", "--no-such-flag").returncode == 2

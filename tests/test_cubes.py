@@ -4,20 +4,15 @@ import pytest
 from cassirecon.cubes import (
     HyperCube,
     MeasurementSet,
-    devectorize_cube,
     measurement_flat_index,
-    measurement_from_flat,
-    normalize_cube,
-    vectorize_cube,
     voxel_flat_index,
-    voxel_from_flat,
 )
 from cassirecon.errors import DimensionError
 
 
 def test_vectorize_degenerate():
-    cube = HyperCube(1, 1, 1, [7.0])
-    assert list(vectorize_cube(cube)) == [7.0]
+    cube = HyperCube.from_array(np.full((1, 1, 1), 7.0))
+    assert list(cube.values) == [7.0]
 
 
 def test_vectorize_2x1x2_order():
@@ -26,11 +21,11 @@ def test_vectorize_2x1x2_order():
     arr[:, 0, 0] = [1.0, 2.0]
     arr[:, 0, 1] = [3.0, 4.0]
     cube = HyperCube.from_array(arr)
-    assert list(vectorize_cube(cube)) == [1.0, 2.0, 3.0, 4.0]
+    assert list(cube.values) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_devectorize_2x1x2():
-    cube = devectorize_cube([1.0, 2.0, 3.0, 4.0], 2, 1, 2)
+    cube = HyperCube(2, 1, 2, [1.0, 2.0, 3.0, 4.0])
     arr = cube.as_array()
     assert list(arr[:, 0, 0]) == [1.0, 2.0]
     assert list(arr[:, 0, 1]) == [3.0, 4.0]
@@ -38,7 +33,7 @@ def test_devectorize_2x1x2():
 
 def test_devectorize_length_mismatch():
     with pytest.raises(DimensionError):
-        devectorize_cube([], 1, 1, 1)
+        HyperCube(1, 1, 1, [])
 
 
 def test_round_trips_random_dims():
@@ -46,29 +41,27 @@ def test_round_trips_random_dims():
     for _ in range(20):
         M, N, L = rng.integers(1, 9, size=3)
         v = rng.standard_normal(M * N * L)
-        cube = devectorize_cube(v, M, N, L)
-        assert np.array_equal(vectorize_cube(cube), v)
-        again = devectorize_cube(vectorize_cube(cube), M, N, L)
+        cube = HyperCube(M, N, L, v)
+        assert np.array_equal(cube.values, v)
+        again = HyperCube.from_array(cube.as_array())
         assert np.array_equal(again.values, cube.values)
 
 
 def test_flat_index_round_trip():
+    # visited row fastest, then column, then band/shot, the indices count up
     M, N, L, K = 3, 5, 4, 2
-    seen = set()
-    for l in range(L):
-        for j in range(N):
-            for i in range(M):
-                idx = voxel_flat_index(i, j, l, M, N)
-                assert voxel_from_flat(idx, M, N) == (i, j, l)
-                seen.add(idx)
-    assert seen == set(range(M * N * L))
+    voxels = [
+        voxel_flat_index(i, j, l, M, N)
+        for l in range(L) for j in range(N) for i in range(M)
+    ]
+    assert voxels == list(range(M * N * L))
 
     width = N + L + 1
-    for k in range(K):
-        for jp in range(width):
-            for i in range(M):
-                idx = measurement_flat_index(i, jp, k, M, N, L)
-                assert measurement_from_flat(idx, M, N, L) == (i, jp, k)
+    samples = [
+        measurement_flat_index(i, jp, k, M, N, L)
+        for k in range(K) for jp in range(width) for i in range(M)
+    ]
+    assert samples == list(range(K * M * width))
 
 
 def test_flat_index_is_fortran_order():
@@ -80,30 +73,6 @@ def test_flat_index_is_fortran_order():
         assert cube.values[voxel_flat_index(i, j, l, 4, 3)] == arr[i, j, l]
 
 
-def test_normalize_scales_by_max():
-    cube = devectorize_cube(np.array([0.0, 51.0, 255.0, 102.0]), 2, 2, 1)
-    normed, scale = normalize_cube(cube)
-    assert scale == 255.0
-    assert normed.values.max() == 1.0
-    assert normed.normalized
-    assert np.array_equal(normed.values, cube.values / 255.0)
-
-
-def test_normalize_idempotent():
-    cube = devectorize_cube(np.array([0.25, 1.0, 0.5, 0.125]), 2, 2, 1)
-    once, s1 = normalize_cube(cube)
-    twice, s2 = normalize_cube(once)
-    assert s1 == s2 == 1.0
-    assert np.array_equal(once.values, cube.values)
-    assert np.array_equal(twice.values, once.values)
-
-
-def test_normalize_all_zero_rejected():
-    cube = devectorize_cube(np.zeros(4), 2, 2, 1)
-    with pytest.raises(ValueError):
-        normalize_cube(cube)
-
-
 def test_cube_invariants():
     with pytest.raises(DimensionError):
         HyperCube(0, 1, 1, [])
@@ -111,8 +80,6 @@ def test_cube_invariants():
         HyperCube(2, 2, 1, [1.0, 2.0])
     with pytest.raises(ValueError):
         HyperCube(1, 1, 2, [1.0, np.nan])
-    with pytest.raises(ValueError):
-        HyperCube(1, 1, 2, [0.5, 1.5], normalized=True)
 
 
 def test_cube_values_are_immutable():

@@ -84,13 +84,13 @@ def test_avg_psnr_mean_and_sentinels():
     est[:, :, 1] += np.sqrt(10.0 ** (-3.0))   # 30 dB
     summary = avg_psnr(ref, est)
     assert summary.value == pytest.approx(25.0, abs=1e-9)
-    assert not summary.flagged
+    assert summary.infinite_bands == 0
 
     identical = avg_psnr(ref, ref)
     assert identical.value == np.inf
-    assert identical.flagged
+    assert identical.infinite_bands == 2
 
-    # one identical band: excluded from the mean, flag set
+    # one identical band: excluded from the mean and counted
     est2 = ref.copy()
     est2[:, :, 0] += 0.1
     partial = avg_psnr(ref, est2)
@@ -111,7 +111,6 @@ def test_avg_psnr_band_permutation_invariant():
 @pytest.mark.parametrize("kind", PHANTOM_KINDS)
 def test_phantom_values_in_unit_interval(kind):
     cube = phantom_cube(16, 16, 4, kind, seed=0)
-    assert cube.normalized
     assert cube.values.min() >= 0.0
     assert cube.values.max() == 1.0
 

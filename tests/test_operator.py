@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cassirecon.cubes import measurement_flat_index, voxel_flat_index
 from cassirecon.errors import DimensionError
@@ -130,6 +131,30 @@ def test_adjoint_identity(dims):
         lhs = forward_apply(model, f) @ g
         rhs = f @ adjoint_apply(model, g)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
+
+
+@st.composite
+def operator_instances(draw):
+    M, N, L, K = (draw(st.integers(1, 32)) for _ in range(4))
+    w = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    total = sum(w)
+    assume(total > 0.0)
+    seed = draw(st.integers(0, 2**32 - 1))
+    masks = np.random.default_rng(seed).integers(0, 2, size=(K, M, N), dtype=np.uint8)
+    weights = DispersionWeights(*(x / total for x in w))
+    return CassiModel(CodedApertureSet(masks), weights, bands=L), seed
+
+
+@settings(max_examples=50, deadline=None)
+@given(operator_instances())
+def test_adjoint_identity_property(instance):
+    model, seed = instance
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(model.n)
+    g = rng.standard_normal(model.m)
+    lhs = forward_apply(model, f) @ g
+    rhs = f @ adjoint_apply(model, g)
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
 def test_linearity():

@@ -30,7 +30,7 @@ def one_band(shape, levels, wavelet):
 
 
 def dwt2_forward(a, levels, wavelet="haar"):
-    theta = one_band(a.shape, levels, wavelet).forward(a[:, :, None])
+    theta = one_band(a.shape, levels, wavelet).forward(a.reshape(-1, order="F"))
     return theta.reshape(a.shape, order="F")
 
 
@@ -183,8 +183,9 @@ def test_subband_map_4x4_two_bands():
     smap = subband_map(4, 4, 2, 1)
     assert smap.n_groups == 8
     assert np.all(smap.sizes == 4)
-    assert smap.describe(0) == (0, "ll1")
-    assert smap.describe(7) == (1, "hh1")
+    # group l * (3J + 1) + s: the first coefficient is band 0's ll1, the last band 1's hh1
+    assert smap.labels[0] == 0
+    assert smap.labels[-1] == 7
 
 
 def test_subband_map_is_partition():
