@@ -25,8 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
-from .metrics import Trace, avg_psnr, reference_cube
+from .cubes import flat_vector
+from .errors import DimensionError, check_finite
+# avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
+from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
 from .transforms import SparsifyingTransform, SubbandMap, subband_map
 from .wiener import denoise_cube
@@ -76,15 +78,6 @@ class AmpState:
             raise ValueError(f"noise estimate must be finite and >= 0, got {self.sigma2}")
 
 
-def _check_finite(v: np.ndarray, what: str, iteration: int, trace: Optional[Trace]) -> None:
-    if not np.all(np.isfinite(v)):
-        raise DivergenceError(
-            f"non-finite values in {what} at iteration {iteration}",
-            iteration=iteration,
-            trace=trace,
-        )
-
-
 def noise_estimate(r: np.ndarray) -> float:
     """Mean squared residual entry: the scalar-channel noise variance estimate."""
     r = np.asarray(r, dtype=np.float64).reshape(-1)
@@ -122,21 +115,16 @@ def residual_step(
     With r_prev = 0 (first iteration) this reduces to the plain residual
     g - H f.
     """
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    r_prev = np.asarray(r_prev, dtype=np.float64).reshape(-1)
-    if g.size != model.m or r_prev.size != model.m:
-        raise DimensionError(f"expected measurement length {model.m}")
+    g = flat_vector(g, model.m, "measurements")
+    r_prev = flat_vector(r_prev, model.m, "residual values")
     r = g - forward_apply(model, f) + (deriv_mean / model.rate) * r_prev
-    _check_finite(r, "residual", iteration, trace)
+    check_finite(r, "residual", iteration, trace)
     return r
 
 
 def pseudo_data(f: np.ndarray, r: np.ndarray, model: CassiModel) -> np.ndarray:
     """Scalar-channel observation q = H^T r + f (step 3)."""
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.size != model.n:
-        raise DimensionError(f"expected signal length {model.n}")
-    return adjoint_apply(model, r) + f
+    return adjoint_apply(model, r) + flat_vector(f, model.n, "cube values")
 
 
 def amp_iteration(
@@ -161,20 +149,19 @@ def amp_iteration(
         r_raw = residual_step(state.f, state.r, state.deriv_mean, g, model, t, trace)
         r = damp(r_raw, state.r, alpha)
         q = pseudo_data(state.f, r, model)
-    sigma2 = noise_estimate(r)
-    if not np.isfinite(sigma2):
-        raise DivergenceError(
-            f"non-finite noise estimate at iteration {t}", iteration=t, trace=trace
-        )
-    f_half, deriv = denoise_cube(q, sigma2, transform, smap)
+        sigma2 = noise_estimate(r)
+        check_finite(sigma2, "noise estimate", t, trace)
+        f_half, deriv = denoise_cube(q, sigma2, transform, smap)
+    # With sigma2 finite, a group gain (nu^2 - sigma2) / nu^2 is NaN exactly
+    # when its variance nu^2 overflowed to inf, and the mean gain with it.
+    check_finite(deriv, "group variances", t, trace)
     f_next = damp(f_half, state.f, alpha)
-    _check_finite(f_next, "iterate", t, trace)
+    check_finite(f_next, "iterate", t, trace)
     if trace is not None:
-        row = dict(sigma2=sigma2, residual_norm=float(np.linalg.norm(r)), derivative_mean=deriv)
-        if truth_cube is not None:
-            est = f_next.reshape(truth_cube.shape, order="F")
-            row["psnr"] = avg_psnr(truth_cube, est).value
-        trace.append(**row, wall_ms=(time.perf_counter() - start) * 1e3)
+        trace.append_iteration(
+            start, f_next, truth_cube,
+            sigma2=sigma2, residual_norm=float(np.linalg.norm(r)), derivative_mean=deriv,
+        )
     return AmpState(f=f_next, r=r, sigma2=sigma2, deriv_mean=deriv, t=t + 1)
 
 
@@ -191,16 +178,13 @@ def run_amp(
     the trace records the average per-band PSNR after every iteration.
     On divergence the raised error carries the partial trace.
     """
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    if g.size != model.m:
-        raise DimensionError(f"expected measurement length {model.m}, got {g.size}")
+    g = flat_vector(g, model.m, "measurements")
     transform = SparsifyingTransform(
         model.rows, model.cols, model.bands, wavelet=config.wavelet, levels=config.levels
     )
     smap = subband_map(model.rows, model.cols, model.bands, transform.levels)
     ref = reference_cube(truth, (model.rows, model.cols, model.bands))
-    psnr = ("psnr",) if ref is not None else ()
-    trace = Trace("sigma2", "residual_norm", "derivative_mean", *psnr, "wall_ms")
+    trace = Trace.for_solver(ref, "sigma2", "residual_norm", "derivative_mean")
     state = AmpState(
         f=np.zeros(model.n), r=np.zeros(model.m), sigma2=0.0, deriv_mean=0.0, t=1
     )

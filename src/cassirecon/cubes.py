@@ -8,11 +8,14 @@ coefficients, measurements) uses one normative flattening:
 
 i.e. Fortran order of ``(M, N, L)`` and ``(M, N+L+1, K)`` arrays, with the
 row index fastest. These formulas are binding for the on-disk formats and
-the materialized measurement matrix alike.
+the materialized measurement matrix alike. :func:`flat_vector` is the one
+length check and :func:`cube_view` the one flat-to-array view that every
+module applies to the vectors it receives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,39 @@ def measurement_flat_index(i: int, jp: int, k: int, M: int, N: int, L: int) -> i
     return i + M * jp + M * width * k
 
 
+def measurement_shape(M: int, N: int, L: int, K: int) -> tuple[int, int, int]:
+    """Shape (M, N+L+1, K) of the K detector frames of an M x N x L scene."""
+    _check_dims(M, N, L, K)
+    return (M, N + L + 1, K)
+
+
+def measurement_count(M: int, N: int, L: int, K: int) -> int:
+    """Number of detector samples collected in K shots: K*M*(N+L+1)."""
+    return math.prod(measurement_shape(M, N, L, K))
+
+
+def flat_vector(v, n: int, what: str) -> np.ndarray:
+    """``v`` as a flat float64 vector, which must hold exactly ``n`` values."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if v.size != n:
+        raise DimensionError(f"expected {n} {what}, got {v.size}")
+    return v
+
+
+def cube_view(v, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A flat vector viewed as an array of ``shape`` in the flat-index order."""
+    return flat_vector(v, math.prod(shape), what).reshape(shape, order="F")
+
+
+def _freeze_values(owner, n: int, what: str) -> None:
+    """Replace ``owner.values`` with a read-only, finite float64 copy of length ``n``."""
+    v = flat_vector(owner.values, n, what).copy()
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    v.flags.writeable = False
+    object.__setattr__(owner, "values", v)
+
+
 @dataclass(frozen=True)
 class HyperCube:
     """A 3D spatio-spectral image: M rows x N cols x L spectral bands.
@@ -53,17 +89,7 @@ class HyperCube:
 
     def __post_init__(self):
         _check_dims(self.rows, self.cols, self.bands)
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size != self.n:
-            raise DimensionError(
-                f"expected {self.n} values for a "
-                f"{self.rows}x{self.cols}x{self.bands} cube, got {v.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("cube values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        _freeze_values(self, self.n, "cube values")
 
     @property
     def n(self) -> int:
@@ -105,23 +131,8 @@ class MeasurementSet:
     sigma_noise: float = 0.0
 
     def __post_init__(self):
-        _check_dims(self.shots, self.rows, self.cols, self.bands)
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size != self.m:
-            raise DimensionError(
-                f"expected {self.m} measurements for K={self.shots}, "
-                f"dims {self.rows}x{self.cols}x{self.bands}, got {v.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("measurements must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def fpa_width(self) -> int:
-        return self.cols + self.bands + 1
+        _freeze_values(self, self.m, "measurements")
 
     @property
     def m(self) -> int:
-        return self.shots * self.rows * self.fpa_width
+        return measurement_count(self.rows, self.cols, self.bands, self.shots)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the solvers' divergence check."""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -16,3 +18,17 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
         self.trace = trace
+
+
+def check_finite(v, what: str, iteration: int, trace) -> None:
+    """Raise :class:`DivergenceError` unless every value of ``v`` is finite.
+
+    ``what`` names the stage in the message; ``iteration`` and the partial
+    ``trace`` travel with the error.
+    """
+    if not np.all(np.isfinite(v)):
+        raise DivergenceError(
+            f"non-finite values in {what} at iteration {iteration}",
+            iteration=iteration,
+            trace=trace,
+        )

@@ -23,9 +23,9 @@ from typing import Union
 
 import numpy as np
 
-from .cubes import HyperCube, MeasurementSet
+from .cubes import HyperCube, MeasurementSet, measurement_count
 from .errors import DimensionError
-from .operator import CodedApertureSet
+from .operator import CodedApertureSet, DispersionWeights
 
 CUBE_MAGIC = b"HSC1"
 MEAS_MAGIC = b"HSM1"
@@ -80,10 +80,25 @@ def _expect_length(path: PathLike, data: bytes, expected: int) -> None:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
 
 
+def _float32_payload(path: PathLike, values: np.ndarray) -> bytes:
+    """Finite float64 ``values`` as little-endian float32 bytes.
+
+    A value beyond the float32 range would be stored as inf, so it is
+    rejected before anything is written.
+    """
+    with np.errstate(over="ignore"):
+        payload = values.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        limit = float(np.finfo(np.float32).max)
+        raise ValueError(
+            f"{path}: values beyond the float32 range (+-{limit:.4g}) cannot be stored"
+        )
+    return payload.tobytes()
+
+
 def write_cube(path: PathLike, cube: HyperCube) -> None:
     header = _CUBE_HEADER.pack(CUBE_MAGIC, cube.rows, cube.cols, cube.bands)
-    payload = cube.values.astype("<f4").tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, header + _float32_payload(path, cube.values))
 
 
 def read_cube(path: PathLike) -> HyperCube:
@@ -99,20 +114,20 @@ def write_measurements(path: PathLike, ms: MeasurementSet) -> None:
         MEAS_MAGIC, ms.shots, ms.rows, ms.cols, ms.bands,
         w0, w1, w2, ms.seed, ms.sigma_noise,
     )
-    payload = ms.values.astype("<f4").tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, header + _float32_payload(path, ms.values))
 
 
 def read_measurements(path: PathLike) -> MeasurementSet:
     data, (K, M, N, L, w0, w1, w2, seed, sigma) = _read_exact(path, MEAS_MAGIC, _MEAS_HEADER)
-    if not abs((w0 + w1 + w2) - 1.0) <= 1e-9:  # also rejects NaN
-        raise ValueError(f"{path}: recorded weights must sum to 1, got {(w0, w1, w2)}")
-    count = K * M * (N + L + 1)
-    _expect_length(path, data, _MEAS_HEADER.size + 4 * count)
+    try:
+        weights = DispersionWeights(w0, w1, w2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    _expect_length(path, data, _MEAS_HEADER.size + 4 * measurement_count(M, N, L, K))
     values = np.frombuffer(data, dtype="<f4", offset=_MEAS_HEADER.size).astype(np.float64)
     return MeasurementSet(
         shots=K, rows=M, cols=N, bands=L, values=values,
-        weights=(w0, w1, w2), seed=seed, sigma_noise=sigma,
+        weights=weights.as_tuple(), seed=seed, sigma_noise=sigma,
     )
 
 

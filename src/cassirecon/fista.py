@@ -19,8 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
-from .metrics import Trace, avg_psnr, reference_cube
+from .cubes import flat_vector
+from .errors import check_finite
+# avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
+from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
 from .transforms import SparsifyingTransform
 
@@ -104,9 +106,7 @@ def fista_run(
     Each trace row holds ``objective``, ``residual_norm``, then ``psnr``
     when ``truth`` (a vectorized reference cube) is given, and ``wall_ms``.
     """
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    if g.size != model.m:
-        raise DimensionError(f"expected measurement length {model.m}, got {g.size}")
+    g = flat_vector(g, model.m, "measurements")
     step = config.step
     if step is None:
         lip = operator_norm_squared(model)
@@ -130,17 +130,13 @@ def fista_run(
     y = x.copy()
     t_mom = 1.0
     fx = objective(x)
-    psnr = ("psnr",) if ref is not None else ()
-    trace = Trace("objective", "residual_norm", *psnr, "wall_ms")
+    trace = Trace.for_solver(ref, "objective", "residual_norm")
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             grad = adjoint_apply(model, forward_apply(model, y) - g)
             z = prox(y - step * grad, step * config.lam)
-        if not np.all(np.isfinite(z)):
-            raise DivergenceError(
-                f"non-finite iterate at iteration {it}", iteration=it, trace=trace
-            )
+        check_finite(z, "iterate", it, trace)
         fz = objective(z)
         # monotone safeguard: never accept an objective increase
         if fz <= fx:
@@ -153,10 +149,9 @@ def fista_run(
         )
         x, fx, t_mom = x_new, fx_new, t_next
         resid = g - forward_apply(model, x)
-        row = dict(objective=fx, residual_norm=float(np.linalg.norm(resid)))
-        if ref is not None:
-            row["psnr"] = avg_psnr(ref, x.reshape(ref.shape, order="F")).value
-        trace.append(**row, wall_ms=(time.perf_counter() - start) * 1e3)
+        trace.append_iteration(
+            start, x, ref, objective=fx, residual_norm=float(np.linalg.norm(resid))
+        )
     return x, trace
 
 

@@ -9,10 +9,12 @@ for raw 8-bit data) and averaged over bands.
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .cubes import cube_view
 from .errors import DimensionError
 
 
@@ -106,13 +108,7 @@ def reference_cube(
     truth: Optional[np.ndarray], shape: tuple[int, int, int]
 ) -> Optional[np.ndarray]:
     """A vectorized reference cube as an (M, N, L) array; None passes through."""
-    if truth is None:
-        return None
-    flat = np.asarray(truth, dtype=np.float64).reshape(-1)
-    n = shape[0] * shape[1] * shape[2]
-    if flat.size != n:
-        raise DimensionError(f"expected truth length {n}, got {flat.size}")
-    return flat.reshape(shape, order="F")
+    return None if truth is None else cube_view(truth, shape, "truth values")
 
 
 class Trace:
@@ -136,9 +132,29 @@ class Trace:
     def __len__(self) -> int:
         return max(map(len, self.columns.values()), default=0)
 
+    @classmethod
+    def for_solver(cls, truth: Optional[np.ndarray], *names: str) -> "Trace":
+        """A solver's columns ``names``, then ``psnr`` when ``truth`` is given, then ``wall_ms``."""
+        psnr = ("psnr",) if truth is not None else ()
+        return cls(*names, *psnr, "wall_ms")
+
     def append(self, **row: float) -> None:
         for name, value in row.items():
             self.columns.setdefault(name, []).append(value)
+
+    def append_iteration(
+        self, start: float, estimate: np.ndarray, truth: Optional[np.ndarray], **row: float
+    ) -> None:
+        """Append one solver row in the :meth:`for_solver` column order.
+
+        ``psnr`` compares the flat ``estimate`` with the (M, N, L) ``truth``
+        when one is given; ``wall_ms`` is the time since ``start``, a
+        ``time.perf_counter()`` reading.
+        """
+        if truth is not None:
+            estimate = cube_view(estimate, truth.shape, "estimate values")
+            row["psnr"] = avg_psnr(truth, estimate).value
+        self.append(**row, wall_ms=(time.perf_counter() - start) * 1e3)
 
     def to_csv(self) -> str:
         lines = [",".join(["iter", *self.columns])]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cubes import cube_view, measurement_count, measurement_shape
 from .errors import DimensionError
 
 WEIGHT_SUM_TOL = 1e-12
@@ -31,13 +32,6 @@ WEIGHT_SUM_TOL = 1e-12
 DEFAULT_WEIGHTS = (0.25, 0.5, 0.25)
 
 MATERIALIZE_CAP = 40_000_000
-
-
-def measurement_count(M: int, N: int, L: int, K: int) -> int:
-    """Number of detector samples collected in K shots: K*M*(N+L+1)."""
-    if min(M, N, L, K) < 1:
-        raise DimensionError(f"all dimensions must be >= 1, got {(M, N, L, K)}")
-    return K * M * (N + L + 1)
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,8 @@ class CodedApertureSet:
 
     def __post_init__(self):
         m = np.asarray(self.masks)
-        if m.ndim != 3:
-            raise DimensionError(f"expected masks of shape (K, M, N), got {m.shape}")
+        if m.ndim != 3 or 0 in m.shape:
+            raise DimensionError(f"expected masks of shape (K, M, N), all >= 1, got {m.shape}")
         if not np.all((m == 0) | (m == 1)):
             raise ValueError("aperture masks must be binary (0/1)")
         m = m.astype(np.uint8)
@@ -153,10 +147,6 @@ class CassiModel:
         return self.apertures.shots
 
     @property
-    def fpa_width(self) -> int:
-        return self.cols + self.bands + 1
-
-    @property
     def n(self) -> int:
         return self.rows * self.cols * self.bands
 
@@ -168,20 +158,6 @@ class CassiModel:
     def rate(self) -> float:
         """Measurement rate m/n."""
         return self.m / self.n
-
-
-def _as_cube_view(model: CassiModel, f: np.ndarray) -> np.ndarray:
-    v = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
-    if v.size != model.n:
-        raise DimensionError(f"expected signal length {model.n}, got {v.size}")
-    return v.reshape((model.rows, model.cols, model.bands), order="F")
-
-
-def _as_frame_view(model: CassiModel, g: np.ndarray) -> np.ndarray:
-    v = np.ascontiguousarray(g, dtype=np.float64).reshape(-1)
-    if v.size != model.m:
-        raise DimensionError(f"expected measurement length {model.m}, got {v.size}")
-    return v.reshape((model.rows, model.fpa_width, model.shots), order="F")
 
 
 def _forward(model: CassiModel, cube: np.ndarray) -> np.ndarray:
@@ -221,12 +197,14 @@ def _adjoint(model: CassiModel, frames: np.ndarray) -> np.ndarray:
 
 def forward_apply(model: CassiModel, f: np.ndarray) -> np.ndarray:
     """Apply the measurement operator to a vectorized cube."""
-    return _forward(model, _as_cube_view(model, f)).reshape(-1, order="F")
+    cube = cube_view(f, (model.rows, model.cols, model.bands), "cube values")
+    return _forward(model, cube).reshape(-1, order="F")
 
 
 def adjoint_apply(model: CassiModel, g: np.ndarray) -> np.ndarray:
     """Apply the exact transpose of the operator to a measurement vector."""
-    return _adjoint(model, _as_frame_view(model, g)).reshape(-1, order="F")
+    shape = measurement_shape(model.rows, model.cols, model.bands, model.shots)
+    return _adjoint(model, cube_view(g, shape, "measurements")).reshape(-1, order="F")
 
 
 def materialize(model: CassiModel, cap: int = MATERIALIZE_CAP) -> np.ndarray:

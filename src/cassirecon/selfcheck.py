@@ -65,11 +65,12 @@ def run_selfcheck(M: int = 8, N: int = 8, L: int = 4, K: int = 2) -> list[CheckR
     apertures = generate_apertures(M, N, K, "complementary" if K % 2 == 0 else "random", seed=7)
     model = CassiModel(apertures, DispersionWeights(0.25, 0.5, 0.25), bands=L)
 
-    m_expected = K * M * (N + L + 1)
+    # the count formula against the length of what the operator produces
+    m_produced = forward_apply(model, np.zeros(model.n)).size
     results.append(
         CheckResult(
             f"measurement count ({M},{N},{L},{K})",
-            measurement_count(M, N, L, K) == m_expected,
+            measurement_count(M, N, L, K) == m_produced,
             f"m={measurement_count(M, N, L, K)}",
         )
     )

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cubes import cube_view
 from .errors import DimensionError
 
 _SQRT2 = np.sqrt(2.0)
@@ -186,17 +187,11 @@ class SparsifyingTransform:
     def n(self) -> int:
         return self.rows * self.cols * self.bands
 
-    def _as_cube(self, x: np.ndarray) -> np.ndarray:
-        """A vector of length ``n`` as an (M, N, L) cube in the flat-index order."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.size != self.n:
-            raise DimensionError(f"expected length {self.n}, got {x.size}")
-        return x.reshape((self.rows, self.cols, self.bands), order="F")
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Coefficient vector of a vectorized cube."""
         h, g = _filters(self.wavelet)
-        out = dct_spectral_forward(self._as_cube(x))
+        cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
+        out = dct_spectral_forward(cube)
         buf = np.empty_like(out)
         m, n = self.rows, self.cols
         for _ in range(self.levels):
@@ -214,7 +209,8 @@ class SparsifyingTransform:
         wavelet and yields the fresh array the wavelet levels then rebuild.
         """
         h, g = _filters(self.wavelet)
-        out = dct_spectral_inverse(self._as_cube(theta))
+        coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
+        out = dct_spectral_inverse(coeffs)
         buf = np.empty_like(out)
         for j in range(self.levels, 0, -1):
             m, n = self.rows >> (j - 1), self.cols >> (j - 1)

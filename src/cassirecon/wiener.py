@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cubes import flat_vector
 from .errors import DimensionError
 from .transforms import SparsifyingTransform, SubbandMap
 
@@ -39,23 +40,13 @@ class SubbandStats:
             raise ValueError("every group must have at least one member")
 
 
-def _check_theta(theta: np.ndarray, smap: SubbandMap) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if theta.size != smap.labels.size:
-        raise DimensionError(
-            f"coefficient vector length {theta.size} does not match "
-            f"subband map size {smap.labels.size}"
-        )
-    return theta
-
-
 def estimate_stats(theta: np.ndarray, smap: SubbandMap) -> SubbandStats:
     """Empirical mean and population variance of each coefficient group.
 
     Population (1/|g|) normalization keeps the variance defined for
     singleton groups, which occur at the coarsest wavelet scale.
     """
-    theta = _check_theta(theta, smap)
+    theta = flat_vector(theta, smap.labels.size, "coefficients")
     counts = smap.sizes
     sums = np.bincount(smap.labels, weights=theta, minlength=smap.n_groups)
     mean = sums / counts
@@ -102,7 +93,7 @@ def wiener_shrink(
     A group whose variance does not exceed the noise variance collapses to
     its mean (gain 0); with sigma2 = 0 every gain is 1.
     """
-    out = _check_theta(theta, smap).copy()
+    out = flat_vector(theta, smap.labels.size, "coefficients").copy()
     _shrink(stats, sigma2, smap, out)
     return out
 

@@ -266,6 +266,51 @@ def test_reconstruct_divergence_exit_4_flushes_trace(tmp_path):
     assert not (tmp_path / "x.hsc").exists()
 
 
+@pytest.fixture
+def instance32(tmp_path):
+    """A 32x32x8 phantom and K=4 complementary apertures, default seeds."""
+    fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(32, 32, 8, "gaussian-blobs", seed=0))
+    assert run_cli(
+        "aperture", "--rows", 32, "--cols", 32, "--shots", 4, "--out", tmp_path / "ap.hsa"
+    ) == 0
+    return tmp_path
+
+
+def test_simulate_beyond_float32_exit_2(instance32, capsys):
+    # sigma_noise is about 6.6e299: finite in float64, inf once stored as float32
+    out = instance32 / "meas.hsm"
+    capsys.readouterr()
+    code = run_cli(
+        "simulate", "--cube", instance32 / "cube.hsc", "--apertures", instance32 / "ap.hsa",
+        "--snr=-3000", "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "float32" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_divergence_names_first_non_finite_stage(instance32, capsys):
+    # Undamped AMP blows up here at iteration 161. The residual, the pseudo
+    # data and the coefficients are still finite; the group variances are not.
+    assert run_cli(
+        "simulate", "--cube", instance32 / "cube.hsc", "--apertures", instance32 / "ap.hsa",
+        "--snr", 20, "--out", instance32 / "meas.hsm",
+    ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "reconstruct", "--measurements", instance32 / "meas.hsm",
+        "--apertures", instance32 / "ap.hsa", "--alpha", 1.0, "--iters", 400,
+        "--out", instance32 / "x.hsc", "--trace", instance32 / "t.csv",
+    )
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: non-finite values in group variances at iteration 161\n"
+    )
+    assert len((instance32 / "t.csv").read_text().splitlines()) == 1 + 160
+    assert not (instance32 / "x.hsc").exists()
+
+
 def test_eval_report(workdir, capsys):
     run_cli(
         "reconstruct", "--measurements", workdir / "meas.hsm",

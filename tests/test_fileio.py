@@ -70,11 +70,27 @@ def test_measurements_weight_invariant(tmp_path):
     path = tmp_path / "m.hsm"
     fileio.write_measurements(path, ms)
     raw = bytearray(path.read_bytes())
-    # corrupt w0 (offset 4 + 16)
-    raw[20:28] = np.float64(0.9).tobytes()
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        fileio.read_measurements(path)
+    # the reader applies the model's weight rule: a sum off by 5e-10 or a
+    # negative weight fails there, with the file named, not later in CassiModel
+    for weights in [(0.9, 0.5, 0.25), (0.25, 0.5, 0.25 + 5e-10), (-0.25, 1.0, 0.25)]:
+        raw[20:44] = np.array(weights, dtype="<f8").tobytes()  # w0..w2 follow magic and 4 u32 dims
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as exc:
+            fileio.read_measurements(path)
+        assert str(exc.value).startswith(f"{path}: dispersion weights")
+
+
+@pytest.mark.parametrize("write", ["cube", "measurements"])
+def test_writers_reject_values_beyond_float32(tmp_path, write):
+    values = np.full(8, 1e300)  # finite in float64, inf in float32
+    path = tmp_path / "out.bin"
+    with pytest.raises(ValueError, match="float32") as exc:
+        if write == "cube":
+            fileio.write_cube(path, HyperCube(2, 2, 2, values))
+        else:
+            fileio.write_measurements(path, MeasurementSet(1, 2, 2, 1, values))
+    assert str(exc.value).startswith(f"{path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_apertures_round_trip_and_layout(tmp_path):

@@ -130,11 +130,14 @@ def test_phantom_unknown_kind():
 
 
 def test_spectral_cosine_single_spectral_group():
+    # A rank-1 cube: one spatial pattern times the flat (zero-frequency)
+    # spectral profile puts every transform coefficient in spectral band 0.
     M, N, L = 16, 16, 8
-    cube = phantom_cube(M, N, L, "spectral-cosine", seed=1)
+    spatial = phantom_cube(M, N, 1, "gaussian-blobs", seed=1).as_array()[:, :, 0]
+    cube = spatial[:, :, None] * np.full(L, np.sqrt(1.0 / L))
     t = SparsifyingTransform(M, N, L)
     smap = subband_map(M, N, L, t.levels)
-    theta = t.forward(cube.values)
+    theta = t.forward(cube.reshape(-1, order="F"))
     per_band = 3 * t.levels + 1
     groups = np.unique(smap.labels[np.abs(theta) > 1e-10 * np.abs(theta).max()])
     assert {int(g) // per_band for g in groups} == {0}

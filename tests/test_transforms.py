@@ -141,7 +141,7 @@ def test_psi_pure_cosine_profile_single_spectral_group():
     t = SparsifyingTransform(M, N, L)
     smap = subband_map(M, N, L, t.levels)
     per_band = 3 * t.levels + 1
-    for p in (1, 3, 5):
+    for p in (0, 1, 3, 5):
         profile = np.cos(np.pi * (2 * np.arange(L) + 1) * p / (2 * L))
         cube = np.broadcast_to(profile, (M, N, L))
         theta = t.forward(np.asfortranarray(cube).reshape(-1, order="F"))
