@@ -19,17 +19,11 @@ from pathlib import Path
 
 from . import fileio
 from .amp import AmpConfig, run_amp
-from .cubes import HyperCube, MeasurementSet
+from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet
 from .errors import DivergenceError
 from .fista import L1Config, fista_run
 from .metrics import PsnrSummary, add_noise, per_band_psnr
-from .operator import (
-    DEFAULT_WEIGHTS,
-    CassiModel,
-    DispersionWeights,
-    forward_apply,
-    generate_apertures,
-)
+from .operator import CassiModel, forward_apply, generate_apertures
 from .selfcheck import format_results, run_selfcheck
 from .transforms import SparsifyingTransform
 
@@ -44,13 +38,6 @@ def _parse_weights(text: str) -> DispersionWeights:
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated weights, got {text!r}")
     return DispersionWeights(*(float(p) for p in parts))
-
-
-def _parse_dims(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected M,N,L,K, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
 def _load_model(measurements_path: str, apertures_path: str):
@@ -129,7 +116,6 @@ def _cmd_reconstruct(args) -> int:
         truth = truth_cube.values
 
     start = time.perf_counter()
-    trace = None
     try:
         if args.solver == "amp":
             config = AmpConfig(
@@ -165,8 +151,6 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_eval(args) -> int:
     truth = fileio.read_cube(args.truth)
     estimate = fileio.read_cube(args.estimate)
-    if truth.shape != estimate.shape:
-        raise ValueError(f"cube shapes differ: {truth.shape} vs {estimate.shape}")
     band_psnr = per_band_psnr(truth.as_array(), estimate.as_array(), args.peak)
     average, n_inf = PsnrSummary.from_bands(band_psnr)
     lines = ["band,psnr_db"]
@@ -179,8 +163,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    M, N, L, K = _parse_dims(args.dims)
-    results = run_selfcheck(M, N, L, K)
+    results = run_selfcheck()
     print(format_results(results))
     return EXIT_OK if all(r.ok for r in results) else 1
 
@@ -240,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("selfcheck", help="run the numerical verification suite")
-    p.add_argument("--dims", default="8,8,4,2", help="M,N,L,K for the check instance")
     p.set_defaults(func=_cmd_selfcheck)
 
     p = sub.add_parser("export-slices", help="write one PGM image per band")

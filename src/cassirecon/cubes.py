@@ -23,7 +23,15 @@ import numpy as np
 from .errors import DimensionError
 
 
-def _check_dims(*dims: int) -> None:
+WEIGHT_SUM_TOL = 1e-12
+
+#: Default split of a voxel's energy over the 3 detector columns it reaches.
+#: Symmetric and unit-sum; configurable per model.
+DEFAULT_WEIGHTS = (0.25, 0.5, 0.25)
+
+
+def check_dims(*dims: int) -> None:
+    """The one dimension rule: every size is at least 1."""
     for d in dims:
         if int(d) < 1:
             raise DimensionError(f"dimensions must be >= 1, got {dims}")
@@ -42,7 +50,7 @@ def measurement_flat_index(i: int, jp: int, k: int, M: int, N: int, L: int) -> i
 
 def measurement_shape(M: int, N: int, L: int, K: int) -> tuple[int, int, int]:
     """Shape (M, N+L+1, K) of the K detector frames of an M x N x L scene."""
-    _check_dims(M, N, L, K)
+    check_dims(M, N, L, K)
     return (M, N + L + 1, K)
 
 
@@ -74,6 +82,30 @@ def _freeze_values(owner, n: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
+class DispersionWeights:
+    """Energy fractions (w0, w1, w2) landing on the 3 dispersed columns.
+
+    Must be finite, nonnegative and sum to 1 (total energy is preserved). Setting
+    (0, 1, 0) collapses the model to a single-diagonal, first-order system
+    while keeping the same detector width.
+    """
+
+    w0: float
+    w1: float
+    w2: float
+
+    def __post_init__(self):
+        w = (float(self.w0), float(self.w1), float(self.w2))
+        if not all(np.isfinite(x) and x >= 0.0 for x in w):
+            raise ValueError(f"dispersion weights must be finite and nonnegative, got {w}")
+        if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"dispersion weights must sum to 1, got sum={sum(w)!r}")
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.w0, self.w1, self.w2)
+
+
+@dataclass(frozen=True)
 class HyperCube:
     """A 3D spatio-spectral image: M rows x N cols x L spectral bands.
 
@@ -88,7 +120,7 @@ class HyperCube:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_dims(self.rows, self.cols, self.bands)
+        check_dims(self.rows, self.cols, self.bands)
         _freeze_values(self, self.n, "cube values")
 
     @property
@@ -118,7 +150,10 @@ class MeasurementSet:
 
     ``values`` has length K*M*(N+L+1). Metadata mirrors what the measurement
     file format records: dispersion weights, the run seed and the realized
-    noise standard deviation (0 when noiseless).
+    noise standard deviation (0 when noiseless). Every field is checked here,
+    so any instance can be written and read back: the weights obey
+    :class:`DispersionWeights`, ``sigma_noise`` is finite and >= 0, and
+    ``seed`` fits the file's unsigned 64-bit field.
     """
 
     shots: int
@@ -126,11 +161,16 @@ class MeasurementSet:
     cols: int
     bands: int
     values: np.ndarray
-    weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
+    weights: tuple[float, float, float] = DEFAULT_WEIGHTS
     seed: int = 0
     sigma_noise: float = 0.0
 
     def __post_init__(self):
+        DispersionWeights(*self.weights)
+        if not (math.isfinite(self.sigma_noise) and self.sigma_noise >= 0.0):
+            raise ValueError(f"sigma_noise must be finite and >= 0, got {self.sigma_noise}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         _freeze_values(self, self.m, "measurements")
 
     @property

@@ -10,11 +10,14 @@ Three little-endian formats, all with a 4-byte magic:
 
 Payloads are float32 to halve file sizes; in-memory computation stays
 float64 throughout. Writes go to a temp file in the target directory and
-are renamed into place, so readers never observe partial files.
+are renamed into place, so readers never observe partial files. Every
+``ValueError`` a reader or writer raises, whether from the format or from
+the record it builds, starts with the file's path.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import tempfile
@@ -25,7 +28,7 @@ import numpy as np
 
 from .cubes import HyperCube, MeasurementSet, measurement_count
 from .errors import DimensionError
-from .operator import CodedApertureSet, DispersionWeights
+from .operator import CodedApertureSet
 
 CUBE_MAGIC = b"HSC1"
 MEAS_MAGIC = b"HSM1"
@@ -63,24 +66,35 @@ def atomic_write(path: PathLike, data: bytes) -> None:
         raise
 
 
+def _names_file(fn):
+    """The one place that names the file: prefix every ``ValueError`` with ``<path>: ``."""
+
+    @functools.wraps(fn)
+    def wrapper(path, *args):
+        try:
+            return fn(path, *args)
+        except ValueError as err:
+            raise type(err)(f"{path}: {err}") from None
+
+    return wrapper
+
+
 def _read_exact(path: PathLike, magic: bytes, header: struct.Struct) -> tuple[bytes, tuple]:
     """File bytes and unpacked header fields after the magic; rejects short headers."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != magic:
-        raise ValueError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+        raise ValueError(f"expected magic {magic!r}, got {data[:4]!r}")
     if len(data) < header.size:
-        raise ValueError(
-            f"{path}: truncated header, expected {header.size} bytes, found {len(data)}"
-        )
+        raise ValueError(f"truncated header, expected {header.size} bytes, found {len(data)}")
     return data, header.unpack_from(data)[1:]
 
 
-def _expect_length(path: PathLike, data: bytes, expected: int) -> None:
+def _expect_length(data: bytes, expected: int) -> None:
     if len(data) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
+        raise ValueError(f"expected {expected} bytes, found {len(data)}")
 
 
-def _float32_payload(path: PathLike, values: np.ndarray) -> bytes:
+def _float32_payload(values: np.ndarray) -> bytes:
     """Finite float64 ``values`` as little-endian float32 bytes.
 
     A value beyond the float32 range would be stored as inf, so it is
@@ -90,44 +104,42 @@ def _float32_payload(path: PathLike, values: np.ndarray) -> bytes:
         payload = values.astype("<f4")
     if not np.all(np.isfinite(payload)):
         limit = float(np.finfo(np.float32).max)
-        raise ValueError(
-            f"{path}: values beyond the float32 range (+-{limit:.4g}) cannot be stored"
-        )
+        raise ValueError(f"values beyond the float32 range (+-{limit:.4g}) cannot be stored")
     return payload.tobytes()
 
 
+@_names_file
 def write_cube(path: PathLike, cube: HyperCube) -> None:
     header = _CUBE_HEADER.pack(CUBE_MAGIC, cube.rows, cube.cols, cube.bands)
-    atomic_write(path, header + _float32_payload(path, cube.values))
+    atomic_write(path, header + _float32_payload(cube.values))
 
 
+@_names_file
 def read_cube(path: PathLike) -> HyperCube:
     data, (M, N, L) = _read_exact(path, CUBE_MAGIC, _CUBE_HEADER)
-    _expect_length(path, data, _CUBE_HEADER.size + 4 * M * N * L)
+    _expect_length(data, _CUBE_HEADER.size + 4 * M * N * L)
     values = np.frombuffer(data, dtype="<f4", offset=_CUBE_HEADER.size).astype(np.float64)
     return HyperCube(M, N, L, values)
 
 
+@_names_file
 def write_measurements(path: PathLike, ms: MeasurementSet) -> None:
     w0, w1, w2 = ms.weights
     header = _MEAS_HEADER.pack(
         MEAS_MAGIC, ms.shots, ms.rows, ms.cols, ms.bands,
         w0, w1, w2, ms.seed, ms.sigma_noise,
     )
-    atomic_write(path, header + _float32_payload(path, ms.values))
+    atomic_write(path, header + _float32_payload(ms.values))
 
 
+@_names_file
 def read_measurements(path: PathLike) -> MeasurementSet:
     data, (K, M, N, L, w0, w1, w2, seed, sigma) = _read_exact(path, MEAS_MAGIC, _MEAS_HEADER)
-    try:
-        weights = DispersionWeights(w0, w1, w2)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    _expect_length(path, data, _MEAS_HEADER.size + 4 * measurement_count(M, N, L, K))
+    _expect_length(data, _MEAS_HEADER.size + 4 * measurement_count(M, N, L, K))
     values = np.frombuffer(data, dtype="<f4", offset=_MEAS_HEADER.size).astype(np.float64)
     return MeasurementSet(
         shots=K, rows=M, cols=N, bands=L, values=values,
-        weights=weights.as_tuple(), seed=seed, sigma_noise=sigma,
+        weights=(w0, w1, w2), seed=seed, sigma_noise=sigma,
     )
 
 
@@ -140,9 +152,10 @@ def write_apertures(path: PathLike, apertures: CodedApertureSet) -> None:
     atomic_write(path, header + payload)
 
 
+@_names_file
 def read_apertures(path: PathLike) -> CodedApertureSet:
     data, (K, M, N) = _read_exact(path, APERTURE_MAGIC, _APERTURE_HEADER)
-    _expect_length(path, data, _APERTURE_HEADER.size + K * M * N)
+    _expect_length(data, _APERTURE_HEADER.size + K * M * N)
     flat = np.frombuffer(data, dtype=np.uint8, offset=_APERTURE_HEADER.size)
     masks = np.moveaxis(flat.reshape((M, N, K), order="F"), 2, 0)
     return CodedApertureSet(masks)

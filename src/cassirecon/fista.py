@@ -43,8 +43,8 @@ class L1Config:
             )
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step}")
+        if self.step is not None and not (np.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step size must be finite and positive, got {self.step}")
 
 
 def soft_threshold(theta: np.ndarray, tau: float) -> np.ndarray:
@@ -94,6 +94,14 @@ def operator_norm_squared(model: CassiModel, iters: int = 50, seed: int = 0) -> 
     )
 
 
+def _lipschitz_step(model: CassiModel) -> float:
+    """The gradient step 1/||H||^2 that keeps the iteration stable."""
+    lip = operator_norm_squared(model)
+    if lip <= 0.0:
+        raise ValueError("operator norm estimate is zero; cannot pick a step size")
+    return 1.0 / lip
+
+
 def fista_run(
     g: np.ndarray,
     model: CassiModel,
@@ -107,12 +115,7 @@ def fista_run(
     when ``truth`` (a vectorized reference cube) is given, and ``wall_ms``.
     """
     g = flat_vector(g, model.m, "measurements")
-    step = config.step
-    if step is None:
-        lip = operator_norm_squared(model)
-        if lip <= 0.0:
-            raise ValueError("operator norm estimate is zero; cannot pick a step size")
-        step = 1.0 / lip
+    step = config.step if config.step is not None else _lipschitz_step(model)
     ref = reference_cube(truth, (model.rows, model.cols, model.bands))
 
     def objective(f: np.ndarray) -> float:
@@ -167,10 +170,10 @@ def sweep_lambda(
 
     The step size is estimated once and shared across the sweep.
     """
-    lip = operator_norm_squared(model)
+    step = _lipschitz_step(model)
     results = []
     for lam in lambdas:
-        config = L1Config(lam=lam, max_iter=max_iter, step=1.0 / lip)
+        config = L1Config(lam=lam, max_iter=max_iter, step=step)
         f_hat, trace = fista_run(g, model, transform, config, truth=truth)
         results.append((lam, f_hat, trace))
     return results

@@ -22,40 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import cube_view, measurement_count, measurement_shape
+from .cubes import DispersionWeights, check_dims, cube_view, measurement_count, measurement_shape
 from .errors import DimensionError
 
-WEIGHT_SUM_TOL = 1e-12
-
-#: Default split of a voxel's energy over the 3 detector columns it reaches.
-#: Symmetric and unit-sum; configurable per model.
-DEFAULT_WEIGHTS = (0.25, 0.5, 0.25)
-
 MATERIALIZE_CAP = 40_000_000
-
-
-@dataclass(frozen=True)
-class DispersionWeights:
-    """Energy fractions (w0, w1, w2) landing on the 3 dispersed columns.
-
-    Must be finite, nonnegative and sum to 1 (total energy is preserved). Setting
-    (0, 1, 0) collapses the model to a single-diagonal, first-order system
-    while keeping the same detector width.
-    """
-
-    w0: float
-    w1: float
-    w2: float
-
-    def __post_init__(self):
-        w = (float(self.w0), float(self.w1), float(self.w2))
-        if not all(np.isfinite(x) and x >= 0.0 for x in w):
-            raise ValueError(f"dispersion weights must be finite and nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"dispersion weights must sum to 1, got sum={sum(w)!r}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.w0, self.w1, self.w2)
 
 
 @dataclass(frozen=True)
@@ -66,8 +36,9 @@ class CodedApertureSet:
 
     def __post_init__(self):
         m = np.asarray(self.masks)
-        if m.ndim != 3 or 0 in m.shape:
-            raise DimensionError(f"expected masks of shape (K, M, N), all >= 1, got {m.shape}")
+        if m.ndim != 3:
+            raise DimensionError(f"expected masks of shape (K, M, N), got {m.shape}")
+        check_dims(*m.shape)
         if not np.all((m == 0) | (m == 1)):
             raise ValueError("aperture masks must be binary (0/1)")
         m = m.astype(np.uint8)
@@ -97,8 +68,7 @@ def generate_apertures(
     complement of its predecessor (requires even K); the pairing balances
     how often each scene pixel is observed.
     """
-    if min(M, N, K) < 1:
-        raise DimensionError(f"invalid aperture dims {(M, N, K)}")
+    check_dims(M, N, K)
     rng = np.random.default_rng(seed)
     if scheme == "random":
         masks = rng.integers(0, 2, size=(K, M, N), dtype=np.uint8)
@@ -124,8 +94,7 @@ class CassiModel:
     _masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bands < 1:
-            raise DimensionError(f"bands must be >= 1, got {self.bands}")
+        check_dims(self.bands)
         # (M, N, K) float64 in Fortran order: each shot's mask is one
         # contiguous block laid out like a band of the cube view.
         masks = np.asfortranarray(

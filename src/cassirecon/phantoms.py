@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubes import HyperCube
-from .errors import DimensionError
+from .cubes import HyperCube, check_dims
 
 PHANTOM_KINDS = ("gaussian-blobs",)
 
@@ -46,8 +45,7 @@ def _gaussian_blobs(rng: np.random.Generator, M: int, N: int, L: int) -> np.ndar
 
 def phantom_cube(M: int, N: int, L: int, kind: str = "gaussian-blobs", seed: int = 0) -> HyperCube:
     """Seeded synthetic cube of the requested kind, normalized to [0, 1]."""
-    if min(M, N, L) < 1:
-        raise DimensionError(f"invalid dims {(M, N, L)}")
+    check_dims(M, N, L)
     if kind not in PHANTOM_KINDS:
         raise ValueError(f"unknown phantom kind {kind!r}; expected one of {PHANTOM_KINDS}")
     # every blob is positive everywhere, so the peak is too

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import cube_view
+from .cubes import check_dims, cube_view
 from .errors import DimensionError
 
 _SQRT2 = np.sqrt(2.0)
@@ -176,8 +176,7 @@ class SparsifyingTransform:
     levels: Optional[int] = None
 
     def __post_init__(self):
-        if min(self.rows, self.cols, self.bands) < 1:
-            raise DimensionError(f"invalid dims {(self.rows, self.cols, self.bands)}")
+        check_dims(self.rows, self.cols, self.bands)
         levels = self.levels if self.levels is not None else default_levels(self.rows, self.cols)
         object.__setattr__(self, "levels", int(levels))
         _check_dyadic(self.rows, self.cols, self.levels)
@@ -229,16 +228,12 @@ class SubbandMap:
     group sizes sum to M*N*L.
     """
 
-    rows: int
-    cols: int
-    bands: int
-    levels: int
     labels: np.ndarray = field(repr=False)
     sizes: np.ndarray = field(repr=False)
 
     @property
     def n_groups(self) -> int:
-        return self.bands * (3 * self.levels + 1)
+        return self.sizes.size
 
 
 def spatial_subband_labels(M: int, N: int, levels: int) -> np.ndarray:
@@ -257,8 +252,7 @@ def spatial_subband_labels(M: int, N: int, levels: int) -> np.ndarray:
 
 def subband_map(M: int, N: int, L: int, levels: int) -> SubbandMap:
     """Group id for every coefficient of an (M, N, L) transform output."""
-    if L < 1:
-        raise DimensionError(f"bands must be >= 1, got {L}")
+    check_dims(M, N, L)
     spatial = spatial_subband_labels(M, N, levels)
     per_band = 3 * levels + 1
     labels3d = spatial[:, :, None] + per_band * np.arange(L, dtype=np.int32)[None, None, :]
@@ -266,4 +260,4 @@ def subband_map(M: int, N: int, L: int, levels: int) -> SubbandMap:
     labels.flags.writeable = False
     sizes = np.bincount(labels, minlength=L * per_band)
     sizes.flags.writeable = False
-    return SubbandMap(M, N, L, levels, labels, sizes)
+    return SubbandMap(labels, sizes)

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .cubes import flat_vector
-from .errors import DimensionError
 from .transforms import SparsifyingTransform, SubbandMap
 
 
@@ -30,14 +29,6 @@ class SubbandStats:
     mean: np.ndarray
     var: np.ndarray
     count: np.ndarray
-
-    def __post_init__(self):
-        if not (self.mean.shape == self.var.shape == self.count.shape):
-            raise DimensionError("stats arrays must share one shape per group")
-        if np.any(self.var < 0.0):
-            raise ValueError("group variances must be nonnegative")
-        if np.any(self.count < 1):
-            raise ValueError("every group must have at least one member")
 
 
 def estimate_stats(theta: np.ndarray, smap: SubbandMap) -> SubbandStats:

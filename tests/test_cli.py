@@ -93,6 +93,21 @@ def test_simulate_out_of_range_snr_exit_2(workdir, capsys, snr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_seed_beyond_u64_exit_2(workdir, capsys, seed):
+    # without --snr the seed reaches only the file's u64 header field
+    out = workdir / "bad.hsm"
+    capsys.readouterr()
+    code = run_cli(
+        "simulate", "--cube", workdir / "cube.hsc", "--apertures", workdir / "ap.hsa",
+        f"--seed={seed}", "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must lie in [0, 2**64)") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_dim_mismatch_exit_2(workdir, tmp_path):
     other = phantom_cube(8, 8, 4, "gaussian-blobs", seed=0)
     fileio.write_cube(tmp_path / "small.hsc", other)
@@ -352,6 +367,20 @@ def test_eval_dim_mismatch_exit_2(workdir, tmp_path):
         "eval", "--truth", workdir / "cube.hsc", "--estimate", tmp_path / "other.hsc",
         "--report", tmp_path / "r.csv",
     ) == 2
+
+
+def test_eval_nan_truth_names_the_file(workdir, capsys):
+    bad = workdir / "nan.hsc"
+    raw = bytearray((workdir / "cube.hsc").read_bytes())
+    raw[16:20] = np.float32(np.nan).tobytes()  # first value after magic and 3 u32 dims
+    bad.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run_cli(
+        "eval", "--truth", bad, "--estimate", workdir / "cube.hsc", "--report", workdir / "r.csv",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: cube values must be finite\n"
+    assert not (workdir / "r.csv").exists()
 
 
 def test_selfcheck_passes_and_corrupt_hook_fails(capsys, monkeypatch):

@@ -88,6 +88,24 @@ def test_cube_values_are_immutable():
         cube.values[0] = 9.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("weights", (1.0, 1.0, 1.0)),
+        ("weights", (np.nan, 0.5, 0.5)),
+        ("sigma_noise", np.nan),
+        ("sigma_noise", np.inf),
+        ("sigma_noise", -0.1),
+        ("seed", -1),
+        ("seed", 2**64),
+    ],
+)
+def test_measurement_set_checks_every_header_field(field, value):
+    # each field the HSM1 header stores is checked, so write -> read always works
+    with pytest.raises(ValueError, match="weights" if field == "weights" else field):
+        MeasurementSet(1, 2, 2, 1, np.zeros(8), **{field: value})
+
+
 def test_measurement_set_length_checked():
     # K=1, M=2, N=2, L=1 -> m = 2*(2+1+1) = 8
     MeasurementSet(1, 2, 2, 1, np.zeros(8))

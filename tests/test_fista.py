@@ -164,6 +164,17 @@ def test_sweep_lambda_reports_every_value():
         assert len(trace) == 15
 
 
+def test_all_closed_apertures_reject_the_default_step():
+    # H = 0, so no step 1/||H||^2 exists; both entry points say so
+    model = CassiModel(CodedApertureSet(np.zeros((2, 8, 8), dtype=np.uint8)), W, bands=4)
+    t = SparsifyingTransform(8, 8, 4)
+    g = np.zeros(model.m)
+    with pytest.raises(ValueError, match="operator norm estimate is zero"):
+        fista_run(g, model, t, L1Config(lam=0.1, max_iter=1))
+    with pytest.raises(ValueError, match="operator norm estimate is zero"):
+        sweep_lambda(g, model, t, [0.1], max_iter=1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         L1Config(lam=-0.5)
@@ -173,10 +184,14 @@ def test_config_validation():
         L1Config(lam=1.0, step=0.0)
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
-def test_config_rejects_non_finite_lambda(lam):
+@pytest.mark.parametrize(
+    "lam, step",
+    [(float("nan"), None), (float("inf"), None), (0.1, float("nan")), (0.1, float("inf"))],
+    ids=["nan", "inf", "step-nan", "step-inf"],
+)
+def test_config_rejects_non_finite_lambda(lam, step):
     with pytest.raises(ValueError, match="finite"):
-        L1Config(lam=lam)
+        L1Config(lam=lam, step=step)
 
 
 def test_divergence_detected():

@@ -1,7 +1,8 @@
 """Corrupt headers fed to the three file readers through the CLI.
 
-Every case must exit 2 or 3 with one ``error:`` line on stderr, no
-traceback and no allocation sized by the header instead of the file.
+Every case must exit 2 or 3 with one ``error: <bad path>: `` line on
+stderr, no traceback and no allocation sized by the header instead of the
+file.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import math
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -29,6 +31,7 @@ weights = st.one_of(
     ),
     st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3),
 )
+sigmas = st.sampled_from([0.0, math.nan, -1.0, math.inf])
 
 
 @st.composite
@@ -49,10 +52,11 @@ def cube_files(draw):
 @st.composite
 def measurement_files(draw):
     K, M, N, L = draw(dims), draw(dims), draw(dims), draw(dims)
-    w = draw(weights)
+    w, sigma = draw(weights), draw(sigmas)
     payload, exact = draw(payloads(4 * K * M * (N + L + 1)))
-    assume(not exact or 0 in (K, M, N, L) or w != (0.25, 0.5, 0.25))
-    return struct.pack("<4sIIII3dQd", b"HSM1", K, M, N, L, *w, 0, 0.0) + payload
+    # an exact payload reaches the solver only through a bad header field
+    assume(not exact or 0 in (K, M, N, L) or w != (0.25, 0.5, 0.25) or sigma != 0.0)
+    return struct.pack("<4sIIII3dQd", b"HSM1", K, M, N, L, *w, 0, sigma) + payload
 
 
 @st.composite
@@ -85,13 +89,15 @@ def run_on_corrupt_file(root, data, argv):
     finally:
         tracemalloc.stop()
     assert code in (2, 3)
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith(f"error: {bad}: ") and err.getvalue().count("\n") == 1
     assert peak <= len(data) + 2**20
     assert not out.exists()
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=cube_files())
+@example(data=struct.pack("<4sIII", b"HSC1", 0, 4, 2))  # no rows, so no payload
+@example(data=struct.pack("<4sIII", b"HSC1", 1, 1, 1) + np.float32(math.nan).tobytes())
 def test_read_cube_rejects_corrupt_headers(files, data):
     argv = ["eval", "--truth", "{bad}", "--estimate", "{root}/cube.hsc", "--report", "{out}"]
     run_on_corrupt_file(files, data, argv)
@@ -99,6 +105,10 @@ def test_read_cube_rejects_corrupt_headers(files, data):
 
 @settings(max_examples=50, deadline=None)
 @given(data=measurement_files())
+@example(  # the apertures' K=2, 4x4 with a well-sized payload and a NaN noise level
+    data=struct.pack("<4sIIII3dQd", b"HSM1", 2, 4, 4, 2, 0.25, 0.5, 0.25, 0, math.nan)
+    + bytes(4 * 2 * 4 * 7)
+)
 def test_read_measurements_rejects_corrupt_headers(files, data):
     argv = [
         "reconstruct", "--measurements", "{bad}", "--apertures", "{root}/ap.hsa",
