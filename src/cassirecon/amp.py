@@ -124,7 +124,9 @@ def residual_step(
 
 def pseudo_data(f: np.ndarray, r: np.ndarray, model: CassiModel) -> np.ndarray:
     """Scalar-channel observation q = H^T r + f (step 3)."""
-    return adjoint_apply(model, r) + flat_vector(f, model.n, "cube values")
+    q = adjoint_apply(model, r)  # a fresh array
+    q += flat_vector(f, model.n, "cube values")
+    return q
 
 
 def amp_iteration(

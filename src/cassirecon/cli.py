@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import fileio
 from .amp import AmpConfig, run_amp
-from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet
+from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet, check_seed
 from .errors import DivergenceError
 from .fista import L1Config, fista_run
 from .metrics import PsnrSummary, add_noise, per_band_psnr
@@ -53,6 +53,7 @@ def _load_model(measurements_path: str, apertures_path: str):
 
 
 def _cmd_aperture(args) -> int:
+    check_seed(args.seed, "--seed")
     apertures = generate_apertures(args.rows, args.cols, args.shots, args.scheme, args.seed)
     fileio.write_apertures(args.out, apertures)
     fill = apertures.masks.mean()
@@ -64,6 +65,7 @@ def _cmd_aperture(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    check_seed(args.seed, "--seed")
     cube = fileio.read_cube(args.cube)
     apertures = fileio.read_apertures(args.apertures)
     if (apertures.rows, apertures.cols) != (cube.rows, cube.cols):

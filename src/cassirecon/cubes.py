@@ -37,6 +37,16 @@ def check_dims(*dims: int) -> None:
             raise DimensionError(f"dimensions must be >= 1, got {dims}")
 
 
+def check_seed(seed: int, what: str = "seed") -> None:
+    """The one seed rule: an integer in [0, 2**64).
+
+    NumPy's generators reject negative seeds and the measurement header
+    stores the seed as an unsigned 64-bit field.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must lie in [0, 2**64), got {seed}")
+
+
 def voxel_flat_index(i: int, j: int, l: int, M: int, N: int) -> int:
     """Flat position of voxel (i, j, l) in a vectorized M x N x L cube."""
     return i + M * j + M * N * l
@@ -169,8 +179,7 @@ class MeasurementSet:
         DispersionWeights(*self.weights)
         if not (math.isfinite(self.sigma_noise) and self.sigma_noise >= 0.0):
             raise ValueError(f"sigma_noise must be finite and >= 0, got {self.sigma_noise}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         _freeze_values(self, self.m, "measurements")
 
     @property

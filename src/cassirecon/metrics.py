@@ -56,29 +56,26 @@ def measure_snr(g_clean: np.ndarray, g_noisy: np.ndarray) -> float:
     return 10.0 * np.log10(mu / sigma)
 
 
-def psnr_slice(ref_slice: np.ndarray, est_slice: np.ndarray, peak: float = 1.0) -> float:
-    """PSNR of one 2D slice in dB; +inf sentinel when the MSE is zero."""
-    ref = np.asarray(ref_slice, dtype=np.float64)
-    est = np.asarray(est_slice, dtype=np.float64)
-    if ref.shape != est.shape:
-        raise DimensionError(f"shape mismatch {ref.shape} vs {est.shape}")
-    if not (np.isfinite(peak) and peak > 0.0):
-        raise ValueError(f"peak must be positive and finite, got {peak}")
-    mse = float(np.mean((ref - est) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)
-
-
 def per_band_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0) -> np.ndarray:
-    """PSNR of every spectral band of two (M, N, L) cubes."""
+    """PSNR in dB of every spectral band of two (M, N, L) cubes; +inf where the MSE is zero."""
     ref = np.asarray(ref_cube, dtype=np.float64)
     est = np.asarray(est_cube, dtype=np.float64)
     if ref.shape != est.shape or ref.ndim != 3:
         raise DimensionError(f"expected matching 3D cubes, got {ref.shape} vs {est.shape}")
-    return np.array(
-        [psnr_slice(ref[:, :, l], est[:, :, l], peak) for l in range(ref.shape[2])]
-    )
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"peak must be positive and finite, got {peak}")
+    mse = np.mean((ref - est) ** 2, axis=(0, 1))
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(peak * peak / mse)
+
+
+def psnr_slice(ref_slice: np.ndarray, est_slice: np.ndarray, peak: float = 1.0) -> float:
+    """PSNR of one 2D slice in dB: :func:`per_band_psnr` of a one-band cube."""
+    ref = np.asarray(ref_slice, dtype=np.float64)
+    est = np.asarray(est_slice, dtype=np.float64)
+    if ref.shape != est.shape or ref.ndim != 2:
+        raise DimensionError(f"expected matching 2D slices, got {ref.shape} vs {est.shape}")
+    return float(per_band_psnr(ref[:, :, None], est[:, :, None], peak)[0])
 
 
 class PsnrSummary(NamedTuple):

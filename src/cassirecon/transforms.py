@@ -13,8 +13,8 @@ rejected, not padded - crop upstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -166,7 +166,7 @@ class SparsifyingTransform:
     :func:`default_levels`. Each band's wavelet coefficients use the packed
     corner layout: the level-J approximation sits in the top-left
     (M/2^J, N/2^J) block, detail subbands in the other quadrants of each
-    scale (see :func:`spatial_subband_labels`).
+    scale (see :class:`SubbandMap`).
     """
 
     rows: int
@@ -221,43 +221,58 @@ class SparsifyingTransform:
 
 @dataclass(frozen=True)
 class SubbandMap:
-    """Partition of coefficient indices into (spectral band, wavelet subband) groups.
+    """Partition of the coefficients into (spectral band, wavelet subband) groups.
 
-    ``labels`` assigns each flat coefficient index its group id
-    ``l * (3J + 1) + s``; there are exactly ``L * (3J + 1)`` groups and the
-    group sizes sum to M*N*L.
+    ``blocks`` holds one ``(rows, cols)`` slice pair per spatial subband, in
+    subband-index order: the level-J approximation, then the three detail
+    quadrants of each scale from level 1 up. Group ``l * (3J + 1) + s`` is
+    block ``s`` of band ``l`` of the (M, N, L) coefficient cube ``shape``;
+    there are exactly ``L * (3J + 1)`` groups and their sizes sum to M*N*L.
     """
 
-    labels: np.ndarray = field(repr=False)
-    sizes: np.ndarray = field(repr=False)
+    blocks: tuple[tuple[slice, slice], ...]
+    shape: tuple[int, int, int]
+
+    @property
+    def n(self) -> int:
+        return self.shape[0] * self.shape[1] * self.shape[2]
 
     @property
     def n_groups(self) -> int:
-        return self.sizes.size
+        return len(self.blocks) * self.shape[2]
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Member count of every group: the area of its block."""
+        areas = [(r.stop - r.start) * (c.stop - c.start) for r, c in self.blocks]
+        sizes = np.tile(np.array(areas, dtype=np.int64), self.shape[2])
+        sizes.flags.writeable = False
+        return sizes
 
-def spatial_subband_labels(M: int, N: int, levels: int) -> np.ndarray:
-    """(M, N) int array tagging each coefficient with its wavelet subband index."""
-    _check_dyadic(M, N, levels)
-    lab = np.empty((M, N), dtype=np.int32)
-    lab[: M >> levels, : N >> levels] = 0
-    for j in range(1, levels + 1):
-        mh, nh = M >> j, N >> j
-        s = 3 * (j - 1)
-        lab[:mh, nh : 2 * nh] = s + 1
-        lab[mh : 2 * mh, :nh] = s + 2
-        lab[mh : 2 * mh, nh : 2 * nh] = s + 3
-    return lab
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Group id of every flat coefficient index, built on first read.
+
+        The solvers work on ``blocks``; only scalar reference checks need
+        one id per coefficient.
+        """
+        per_band = len(self.blocks)
+        ids = np.empty(self.shape, dtype=np.int32, order="F")
+        for s, (r, c) in enumerate(self.blocks):
+            ids[r, c] = s + per_band * np.arange(self.shape[2], dtype=np.int32)
+        labels = ids.reshape(-1, order="F")
+        labels.flags.writeable = False
+        return labels
 
 
 def subband_map(M: int, N: int, L: int, levels: int) -> SubbandMap:
-    """Group id for every coefficient of an (M, N, L) transform output."""
+    """The coefficient groups of an (M, N, L) transform output at ``levels`` levels."""
     check_dims(M, N, L)
-    spatial = spatial_subband_labels(M, N, levels)
-    per_band = 3 * levels + 1
-    labels3d = spatial[:, :, None] + per_band * np.arange(L, dtype=np.int32)[None, None, :]
-    labels = np.asfortranarray(labels3d).reshape(-1, order="F").astype(np.int32)
-    labels.flags.writeable = False
-    sizes = np.bincount(labels, minlength=L * per_band)
-    sizes.flags.writeable = False
-    return SubbandMap(labels, sizes)
+    _check_dyadic(M, N, levels)
+    blocks = [(slice(0, M >> levels), slice(0, N >> levels))]
+    for j in range(1, levels + 1):
+        mh, nh = M >> j, N >> j
+        lo_r, hi_r = slice(0, mh), slice(mh, 2 * mh)
+        lo_c, hi_c = slice(0, nh), slice(nh, 2 * nh)
+        blocks += [(lo_r, hi_c), (hi_r, lo_c), (hi_r, hi_c)]
+    return SubbandMap(tuple(blocks), (M, N, L))

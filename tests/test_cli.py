@@ -95,17 +95,20 @@ def test_simulate_out_of_range_snr_exit_2(workdir, capsys, snr):
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_simulate_seed_beyond_u64_exit_2(workdir, capsys, seed):
-    # without --snr the seed reaches only the file's u64 header field
-    out = workdir / "bad.hsm"
-    capsys.readouterr()
-    code = run_cli(
-        "simulate", "--cube", workdir / "cube.hsc", "--apertures", workdir / "ap.hsa",
-        f"--seed={seed}", "--out", out,
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: seed must lie in [0, 2**64)") and err.count("\n") == 1
-    assert not out.exists()
+    # without --snr the seed reaches only the file's u64 header field; with
+    # --snr and in `aperture` it seeds NumPy, which rejects negative seeds
+    inputs = ["--cube", workdir / "cube.hsc", "--apertures", workdir / "ap.hsa"]
+    commands = [
+        ["simulate", *inputs],
+        ["simulate", *inputs, "--snr", 20],
+        ["aperture", "--rows", 16, "--cols", 16, "--shots", 2],
+    ]
+    for command in commands:
+        out = workdir / "bad.out"
+        capsys.readouterr()
+        assert run_cli(*command, f"--seed={seed}", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --seed must lie in [0, 2**64), got {seed}\n"
+        assert not out.exists()
 
 
 def test_simulate_dim_mismatch_exit_2(workdir, tmp_path):
