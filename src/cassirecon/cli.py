@@ -103,7 +103,24 @@ def _check_writable(path: str) -> None:
             raise OSError(f"cannot write {path}: {err.strerror}") from None
 
 
+def _solver_config(args):
+    """The solver's config from its flags, checked before any file is touched."""
+    if args.solver == "fista" and args.lam is None:
+        raise ValueError("--lambda is required for the fista solver")
+    try:
+        if args.solver == "amp":
+            return AmpConfig(
+                alpha=args.alpha, max_iter=args.iters,
+                wavelet=args.wavelet, levels=args.levels,
+            )
+        return L1Config(lam=args.lam, max_iter=args.iters)
+    except ValueError as err:
+        first = f"--alpha {args.alpha}" if args.solver == "amp" else f"--lambda {args.lam}"
+        raise ValueError(f"{first} --iters {args.iters}: {err}") from None
+
+
 def _cmd_reconstruct(args) -> int:
+    config = _solver_config(args)
     _check_writable(args.out)
     _check_writable(args.trace)
     ms, model = _load_model(args.measurements, args.apertures)
@@ -120,19 +137,12 @@ def _cmd_reconstruct(args) -> int:
     start = time.perf_counter()
     try:
         if args.solver == "amp":
-            config = AmpConfig(
-                alpha=args.alpha, max_iter=args.iters,
-                wavelet=args.wavelet, levels=args.levels,
-            )
             f_hat, trace = run_amp(ms.values, model, config, truth=truth)
         else:
-            if args.lam is None:
-                raise ValueError("--lambda is required for the fista solver")
             transform = SparsifyingTransform(
                 model.rows, model.cols, model.bands,
                 wavelet=args.wavelet, levels=args.levels,
             )
-            config = L1Config(lam=args.lam, max_iter=args.iters)
             f_hat, trace = fista_run(ms.values, model, transform, config, truth=truth)
     except DivergenceError as err:
         if err.trace is not None:

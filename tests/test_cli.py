@@ -146,6 +146,27 @@ def test_reconstruct_unwritable_output_exit_3_before_reading(workdir, capsys, mo
     assert sorted(workdir.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "solver_args, flag",
+    [
+        (["--solver", "fista"], "--lambda"),
+        (["--alpha", 3], "--alpha"),
+        (["--iters", 0], "--iters"),
+    ],
+    ids=["fista-without-lambda", "alpha-3", "iters-0"],
+)
+def test_reconstruct_bad_solver_argument_exit_2_before_reading(tmp_path, capsys, solver_args, flag):
+    # the inputs do not exist: a solver argument error must win over exit 3
+    code = run_cli(
+        "reconstruct", "--measurements", tmp_path / "nope.hsm",
+        "--apertures", tmp_path / "nope.hsa", *solver_args,
+        "--out", tmp_path / "rec.hsc", "--trace", tmp_path / "trace.csv",
+    )
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reconstruct_defaults():
     parser = build_parser()
     args = parser.parse_args(

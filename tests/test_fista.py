@@ -49,6 +49,96 @@ def test_soft_threshold_never_grows_support():
         assert np.count_nonzero(soft_threshold(theta, tau)) <= np.count_nonzero(theta)
 
 
+def test_soft_threshold_matches_sign_formula_and_keeps_input():
+    rng = np.random.default_rng(12)
+    tau = 0.7
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+    near_tau = [np.nextafter(v, d) for v in (tau, -tau) for d in (-np.inf, np.inf)]
+    theta = np.concatenate([rng.standard_normal(500) * 2, special, near_tau, [tau, -tau]])
+    before = theta.copy()
+    for thr in (0.0, tau):
+        want = np.sign(theta) * np.maximum(np.abs(theta) - thr, 0.0)
+        assert np.array_equal(soft_threshold(theta, thr), want, equal_nan=True)
+    assert np.array_equal(theta, before, equal_nan=True)
+
+
+def test_one_operator_and_transform_call_each_per_iteration(monkeypatch):
+    model = small_model(seed=12)
+    t = SparsifyingTransform(8, 8, 4)
+    g = np.random.default_rng(12).standard_normal(model.m)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("cassirecon.fista.forward_apply", counting("H", forward_apply))
+    monkeypatch.setattr("cassirecon.fista.adjoint_apply", counting("H^T", adjoint_apply))
+    monkeypatch.setattr(
+        SparsifyingTransform, "forward", counting("Psi", SparsifyingTransform.forward)
+    )
+    monkeypatch.setattr(
+        SparsifyingTransform, "inverse", counting("Psi^T", SparsifyingTransform.inverse)
+    )
+    fista_run(g, model, t, L1Config(lam=0.05, max_iter=5, step=0.5))
+    assert calls == {"H": 5, "H^T": 5, "Psi": 5, "Psi^T": 5}
+
+
+def dense_fista(g, H, P, lam, step, iters):
+    """Straight-line FISTA with the monotone safeguard on a dense H and Psi.
+
+    Returns the estimate, the objective and residual-norm columns, and the
+    number of rejected candidates.
+    """
+
+    def objective(f):
+        r = g - H @ f
+        return 0.5 * (r @ r) + lam * np.abs(P @ f).sum()
+
+    x = np.zeros(H.shape[1])
+    y = x.copy()
+    t_mom = 1.0
+    fx = objective(x)
+    objectives, residual_norms, rejected = [], [], 0
+    for _ in range(iters):
+        v = y - step * (H.T @ (H @ y - g))
+        c = P @ v
+        z = P.T @ (np.sign(c) * np.maximum(np.abs(c) - step * lam, 0.0))
+        fz = objective(z)
+        if fz <= fx:
+            x_new, fx_new = z, fz
+        else:
+            x_new, fx_new = x, fx
+            rejected += 1
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = x_new + (t_mom / t_next) * (z - x_new) + ((t_mom - 1.0) / t_next) * (x_new - x)
+        x, fx, t_mom = x_new, fx_new, t_next
+        objectives.append(fx)
+        residual_norms.append(np.linalg.norm(g - H @ x))
+    return x, np.array(objectives), np.array(residual_norms), rejected
+
+
+@pytest.mark.parametrize("step_scale, rejects", [(1.0, False), (1.9, True)], ids=["1/L", "1.9/L"])
+def test_fista_matches_dense_transcription(step_scale, rejects):
+    # 1.9/||H||^2 is past the stable step, so the safeguard keeps x for some
+    # candidates: the branch that reuses H x and the residual of x
+    model = small_model(seed=12)
+    H = materialize(model)
+    t = SparsifyingTransform(8, 8, 4)
+    P = np.column_stack([t.forward(e) for e in np.eye(model.n)])
+    g = np.random.default_rng(12).standard_normal(model.m)
+    lam, iters = 0.05, 20
+    step = step_scale / np.linalg.norm(H, 2) ** 2
+    x_ref, obj_ref, res_ref, rejected = dense_fista(g, H, P, lam, step, iters)
+    assert (rejected > 0) == rejects and rejected < iters
+    f_hat, trace = fista_run(g, model, t, L1Config(lam=lam, max_iter=iters, step=step))
+    assert np.abs(f_hat - x_ref).max() <= 1e-12
+    np.testing.assert_allclose(trace.objective, obj_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.residual_norm, res_ref, rtol=1e-12, atol=0)
+
+
 def test_power_method_permutation_embedding():
     model = CassiModel(
         CodedApertureSet(np.ones((1, 8, 8), dtype=np.uint8)),
