@@ -30,7 +30,7 @@ from .errors import DimensionError, check_finite
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
-from .transforms import SparsifyingTransform, SubbandMap, subband_map
+from .transforms import SparsifyingTransform, SubbandMap, check_levels, subband_map
 from .wiener import denoise_cube
 
 DEFAULT_ALPHA = 0.2
@@ -54,6 +54,8 @@ class AmpConfig:
             raise ValueError(f"damping factor must be in (0, 1], got {self.alpha}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.levels is not None:
+            check_levels(self.levels)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ import time
 from pathlib import Path
 
 from . import fileio
-from .amp import AmpConfig, run_amp
+from .amp import DEFAULT_ALPHA, AmpConfig, run_amp
 from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet, check_seed
 from .errors import DivergenceError
 from .fista import L1Config, fista_run
 from .metrics import PsnrSummary, add_noise, per_band_psnr
 from .operator import CassiModel, forward_apply, generate_apertures
 from .selfcheck import format_results, run_selfcheck
-from .transforms import SparsifyingTransform
+from .transforms import SparsifyingTransform, check_levels
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,19 +104,30 @@ def _check_writable(path: str) -> None:
 
 
 def _solver_config(args):
-    """The solver's config from its flags, checked before any file is touched."""
+    """The solver's config from its flags, checked before any file is touched.
+
+    A flag of the other solver is an error, not silently dropped.
+    """
+    for flag, value, solver in (("--alpha", args.alpha, "amp"), ("--lambda", args.lam, "fista")):
+        if value is not None and args.solver != solver:
+            raise ValueError(f"{flag} does not apply to --solver {args.solver}")
     if args.solver == "fista" and args.lam is None:
         raise ValueError("--lambda is required for the fista solver")
     try:
+        if args.levels is not None:
+            check_levels(args.levels)
         if args.solver == "amp":
             return AmpConfig(
-                alpha=args.alpha, max_iter=args.iters,
-                wavelet=args.wavelet, levels=args.levels,
+                alpha=DEFAULT_ALPHA if args.alpha is None else args.alpha,
+                max_iter=args.iters, wavelet=args.wavelet, levels=args.levels,
             )
         return L1Config(lam=args.lam, max_iter=args.iters)
     except ValueError as err:
-        first = f"--alpha {args.alpha}" if args.solver == "amp" else f"--lambda {args.lam}"
-        raise ValueError(f"{first} --iters {args.iters}: {err}") from None
+        given = {
+            "--alpha": args.alpha, "--lambda": args.lam, "--iters": args.iters, "--levels": args.levels,
+        }
+        flags = " ".join(f"{flag} {value}" for flag, value in given.items() if value is not None)
+        raise ValueError(f"{flags}: {err}") from None
 
 
 def _cmd_reconstruct(args) -> int:
@@ -216,10 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", required=True)
     p.add_argument("--apertures", required=True)
     p.add_argument("--solver", choices=["amp", "fista"], default="amp")
-    p.add_argument("--alpha", type=float, default=0.2, help="damping factor in (0, 1]")
+    p.add_argument("--alpha", type=float, default=None,
+                   help=f"AMP damping factor in (0, 1] (default {DEFAULT_ALPHA})")
     p.add_argument("--iters", type=int, default=400)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="l1 regularization weight (required for fista)")
+                   help="l1 regularization weight (required for fista, rejected for amp)")
     p.add_argument("--wavelet", choices=["haar", "db4"], default="haar")
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import check_dims, cube_view
+from .cubes import band_chunks, check_dims, cube_view
 from .errors import DimensionError
 
 _SQRT2 = np.sqrt(2.0)
@@ -70,9 +70,14 @@ def _filters(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
-def _check_dyadic(M: int, N: int, levels: int) -> None:
+def check_levels(levels: int) -> None:
+    """The one decomposition-depth rule: at least one wavelet level."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+
+
+def _check_dyadic(M: int, N: int, levels: int) -> None:
+    check_levels(levels)
     div = 1 << levels
     if M % div != 0 or N % div != 0:
         raise DimensionError(
@@ -186,19 +191,32 @@ class SparsifyingTransform:
     def n(self) -> int:
         return self.rows * self.cols * self.bands
 
+    def _chunks(self, out: np.ndarray):
+        """Each band chunk of ``out`` with a same-shaped view of one reused buffer.
+
+        The wavelet levels run chunk by chunk, so their ping-pong buffer
+        and tap temporaries stay chunk-sized while the chunk is in cache.
+        """
+        chunks = band_chunks(self.rows, self.cols, self.bands)
+        buf = np.empty((self.rows, self.cols, chunks[0][1]), order="F")
+        for a, b in chunks:
+            yield out[:, :, a:b], buf[:, :, : b - a]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Coefficient vector of a vectorized cube."""
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
         out = dct_spectral_forward(cube)
-        buf = np.empty_like(out)
-        m, n = self.rows, self.cols
-        for _ in range(self.levels):
-            # rows of the block into buf, then the columns of buf back into out
-            _split(out[:m, :n], buf[: m // 2, :n], buf[m // 2 : m, :n], h, g)
-            _split(_cols(buf[:m, :n]), _cols(out[:m, : n // 2]), _cols(out[:m, n // 2 : n]), h, g)
-            m //= 2
-            n //= 2
+        for chunk, buf in self._chunks(out):
+            m, n = self.rows, self.cols
+            for _ in range(self.levels):
+                # rows of the block into buf, then the columns of buf back into the chunk
+                _split(chunk[:m, :n], buf[: m // 2, :n], buf[m // 2 : m, :n], h, g)
+                _split(
+                    _cols(buf[:m, :n]), _cols(chunk[:m, : n // 2]), _cols(chunk[:m, n // 2 : n]), h, g
+                )
+                m //= 2
+                n //= 2
         return out.reshape(-1, order="F")
 
     def inverse(self, theta: np.ndarray) -> np.ndarray:
@@ -210,12 +228,14 @@ class SparsifyingTransform:
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
         out = dct_spectral_inverse(coeffs)
-        buf = np.empty_like(out)
-        for j in range(self.levels, 0, -1):
-            m, n = self.rows >> (j - 1), self.cols >> (j - 1)
-            # columns of the block into buf, then the rows of buf back into out
-            _merge(_cols(out[:m, : n // 2]), _cols(out[:m, n // 2 : n]), _cols(buf[:m, :n]), h, g)
-            _merge(buf[: m // 2, :n], buf[m // 2 : m, :n], out[:m, :n], h, g)
+        for chunk, buf in self._chunks(out):
+            for j in range(self.levels, 0, -1):
+                m, n = self.rows >> (j - 1), self.cols >> (j - 1)
+                # columns of the block into buf, then the rows of buf back into the chunk
+                _merge(
+                    _cols(chunk[:m, : n // 2]), _cols(chunk[:m, n // 2 : n]), _cols(buf[:m, :n]), h, g
+                )
+                _merge(buf[: m // 2, :n], buf[m // 2 : m, :n], chunk[:m, :n], h, g)
         return out.reshape(-1, order="F")
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import cube_view, flat_vector
+from .cubes import band_chunks, cube_view, flat_vector
 from .transforms import SparsifyingTransform, SubbandMap
 
 
@@ -62,8 +62,9 @@ def estimate_stats(theta: np.ndarray, smap: SubbandMap) -> SubbandStats:
 
     Population (1/|g|) normalization keeps the variance defined for
     singleton groups, which occur at the coarsest wavelet scale. The blocks
-    of one shape are copied into one buffer, a column per group with its
-    members in flat coefficient order.
+    of one shape are copied, a band chunk at a time, into one reused
+    buffer, a column per group with its members in flat coefficient order.
+    Each group lies in one band, so chunking leaves every sum's order alone.
     """
     cube = cube_view(theta, smap.shape, "coefficients")
     L = smap.shape[2]
@@ -72,16 +73,22 @@ def estimate_stats(theta: np.ndarray, smap: SubbandMap) -> SubbandStats:
     var = np.empty_like(mean)
     for (m, n), ids in _same_shape_blocks(smap).items():
         k = len(ids)
-        work = np.empty((m, n, k, L), order="F")
-        for q, s in enumerate(ids):
-            work[:, :, q] = cube[smap.blocks[s]]
-        cols = work.reshape(m * n, k * L, order="F")  # a view of work
-        scratch = np.empty_like(cols)
-        block_mean = (_column_totals(cols, scratch) / (m * n)).reshape(k, L, order="F")
-        work -= block_mean
-        work *= work
-        var[ids] = (_column_totals(cols, scratch) / (m * n)).reshape(k, L, order="F")
-        mean[ids] = block_mean
+        # chunks of the work buffer, whose plane is k blocks of m x n
+        chunks = band_chunks(m, n * k, L)
+        width = chunks[0][1]
+        work_buf = np.empty((m, n, k, width), order="F")
+        scratch_buf = np.empty((m * n, k * width), order="F")
+        for a, b in chunks:
+            work = work_buf[..., : b - a]
+            for q, s in enumerate(ids):
+                work[:, :, q] = cube[smap.blocks[s] + (slice(a, b),)]
+            cols = work.reshape(m * n, k * (b - a), order="F")  # a view of work
+            scratch = scratch_buf[:, : k * (b - a)]
+            block_mean = (_column_totals(cols, scratch) / (m * n)).reshape(k, b - a, order="F")
+            work -= block_mean
+            work *= work
+            var[ids, a:b] = (_column_totals(cols, scratch) / (m * n)).reshape(k, b - a, order="F")
+            mean[ids, a:b] = block_mean
     return SubbandStats(mean=mean.ravel(order="F"), var=var.ravel(order="F"), count=smap.sizes)
 
 
@@ -95,33 +102,45 @@ def _group_gains(stats: SubbandStats, sigma2: float) -> np.ndarray:
     return gains
 
 
-def _fill(values: np.ndarray, smap: SubbandMap) -> np.ndarray:
-    """Flat coefficient vector holding each group's entry of ``values`` in its block."""
-    per_block = values.reshape(-1, smap.shape[2], order="F")
-    cube = np.empty(smap.shape, order="F")
-    for s, rc in enumerate(smap.blocks):
-        cube[rc] = per_block[s]
-    return cube.reshape(-1, order="F")
-
-
 def _shrink(
     stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: Optional[np.ndarray] = None
 ) -> float:
     """Mean per-coefficient gain; also shrinks ``theta`` in place when given.
 
-    The group gains are filled into their blocks once and serve both the
-    shrinkage and its derivative, so the denoiser and the two public
-    functions below run the same arithmetic.
+    The cube is walked a band chunk at a time. Each group's gain and mean
+    are filled into its block of two reused chunk-sized buffers, and the
+    chunk of ``theta`` is shrunk in place (``-= mean; *= gain; += mean``).
+    Slot 0 of the gain buffer carries the running sum from chunk to chunk,
+    so the in-place ``np.add.accumulate`` adds left to right over the whole
+    flat vector, as one accumulate from +0.0 would. The denoiser and the two
+    public functions below run this same arithmetic.
     """
-    gains = _fill(_group_gains(stats, sigma2), smap)
-    if theta is not None:
-        mu = _fill(stats.mean, smap)
-        theta -= mu
-        theta *= gains
-        theta += mu
-    # accumulate fixes a left-to-right order, identical to a scalar loop
-    np.add.accumulate(gains, out=gains)
-    return float(gains[-1]) / gains.size
+    M, N, L = smap.shape
+    gains = _group_gains(stats, sigma2).reshape(-1, L, order="F")
+    means = stats.mean.reshape(-1, L, order="F")
+    cube = None if theta is None else cube_view(theta, smap.shape, "coefficients")
+    chunks = band_chunks(M, N, L)
+    width = chunks[0][1]
+    total = np.empty(1 + M * N * width)
+    total[0] = 0.0
+    if cube is not None:
+        mu_buf = np.empty((M, N, width), order="F")
+    for a, b in chunks:
+        size = M * N * (b - a)
+        gain = total[1 : 1 + size].reshape((M, N, b - a), order="F")
+        for s, rc in enumerate(smap.blocks):
+            gain[rc] = gains[s, a:b]
+        if cube is not None:
+            mu = mu_buf[:, :, : b - a]
+            for s, rc in enumerate(smap.blocks):
+                mu[rc] = means[s, a:b]
+            chunk = cube[:, :, a:b]
+            chunk -= mu
+            chunk *= gain
+            chunk += mu
+        np.add.accumulate(total[: 1 + size], out=total[: 1 + size])
+        total[0] = total[size]
+    return float(total[0]) / smap.n
 
 
 def wiener_shrink(

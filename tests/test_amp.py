@@ -226,6 +226,12 @@ def test_config_validation():
         AmpConfig(max_iter=0)
 
 
+def test_config_rejects_levels_below_one():
+    with pytest.raises(ValueError, match="levels must be >= 1, got 0"):
+        AmpConfig(levels=0)
+    assert AmpConfig(levels=1).levels == 1
+
+
 def test_trace_records_every_iteration():
     model = small_model(seed=11)
     rng = np.random.default_rng(11)

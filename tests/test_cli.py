@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cassirecon import fileio
-from cassirecon.cli import build_parser, main
+from cassirecon.cli import _solver_config, build_parser, main
 from cassirecon.phantoms import phantom_cube
 
 
@@ -167,13 +167,50 @@ def test_reconstruct_bad_solver_argument_exit_2_before_reading(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "solver_args", [[], ["--solver", "fista", "--lambda", 0.1]], ids=["amp", "fista"]
+)
+def test_reconstruct_levels_below_one_exit_2_before_reading(tmp_path, capsys, solver_args):
+    code = run_cli(
+        "reconstruct", "--measurements", tmp_path / "nope.hsm",
+        "--apertures", tmp_path / "nope.hsa", *solver_args, "--levels", 0,
+        "--out", tmp_path / "rec.hsc", "--trace", tmp_path / "trace.csv",
+    )
+    assert code == 2
+    assert "--levels 0: levels must be >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "solver_args, message",
+    [
+        (["--solver", "fista", "--lambda", 0.1, "--alpha", 7],
+         "--alpha does not apply to --solver fista"),
+        (["--lambda", 0.1], "--lambda does not apply to --solver amp"),
+    ],
+    ids=["alpha-under-fista", "lambda-under-amp"],
+)
+def test_reconstruct_flag_of_the_other_solver_exit_2_before_reading(
+    tmp_path, capsys, solver_args, message
+):
+    code = run_cli(
+        "reconstruct", "--measurements", tmp_path / "nope.hsm",
+        "--apertures", tmp_path / "nope.hsa", *solver_args,
+        "--out", tmp_path / "rec.hsc", "--trace", tmp_path / "trace.csv",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reconstruct_defaults():
     parser = build_parser()
     args = parser.parse_args(
         ["reconstruct", "--measurements", "m", "--apertures", "a", "--out", "o"]
     )
     assert args.solver == "amp"
-    assert args.alpha == 0.2
+    assert args.alpha is None  # AmpConfig's default applies
+    assert _solver_config(args).alpha == 0.2
     assert args.iters == 400
     assert args.wavelet == "haar"
 
@@ -270,9 +307,10 @@ def test_divergence_at_first_iteration_flushes_header(
 ):
     monkeypatch.setattr(patched, broken)
     extra = ["--truth", workdir / "cube.hsc"] if truth else []
+    lam = ["--lambda", 0.01] if solver == "fista" else []
     code = run_cli(
         "reconstruct", "--measurements", workdir / "meas.hsm",
-        "--apertures", workdir / "ap.hsa", "--solver", solver, "--lambda", 0.01,
+        "--apertures", workdir / "ap.hsa", "--solver", solver, *lam,
         "--iters", 5, "--out", workdir / "x.hsc", "--trace", workdir / "t.csv", *extra,
     )
     assert code == 4

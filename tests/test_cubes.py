@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cassirecon.cubes import (
+    CHUNK_BYTES,
     HyperCube,
     MeasurementSet,
+    band_chunks,
     measurement_flat_index,
     voxel_flat_index,
 )
@@ -113,3 +115,19 @@ def test_measurement_set_length_checked():
         MeasurementSet(1, 2, 2, 1, np.zeros(7))
     with pytest.raises(ValueError):
         MeasurementSet(1, 2, 2, 1, np.full(8, np.inf))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, bands", [(32, 32, 16), (64, 512, 10), (256, 256, 24), (1024, 256, 3), (3, 5, 7)]
+)
+def test_band_chunks_tile_the_bands_within_the_budget(rows, cols, bands):
+    chunks = band_chunks(rows, cols, bands)
+    assert chunks[0][0] == 0 and chunks[-1][1] == bands
+    assert all(a < b for a, b in chunks)
+    assert all(b0 == a1 for (_, b0), (a1, _) in zip(chunks, chunks[1:]))
+    widths = [b - a for a, b in chunks]
+    assert all(w == widths[0] for w in widths[:-1]) and widths[-1] <= widths[0]
+    # at least one band; more only while the chunk fits the budget
+    band_bytes = rows * cols * 8
+    assert widths[0] == 1 or widths[0] * band_bytes <= CHUNK_BYTES
+    assert len(chunks) == 1 or (widths[0] + 1) * band_bytes > CHUNK_BYTES

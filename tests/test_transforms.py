@@ -305,3 +305,23 @@ def test_psi_round_trip_and_energy_property(instance):
     theta = t.forward(x)
     assert abs(np.linalg.norm(theta) / np.linalg.norm(x) - 1.0) <= 1e-12
     assert np.abs(t.inverse(theta) - x).max() <= 1e-12
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "db4"])
+def test_psi_across_band_chunks_matches_band_by_band(multi_chunk_shape, wavelet):
+    # the spectral DCT, then a 1-band transform per band (its DCT is [[1.0]]):
+    # the chunked wavelet levels must give the same bits in every chunk
+    M, N, L = multi_chunk_shape
+    t = SparsifyingTransform(M, N, L, wavelet)
+    band = SparsifyingTransform(M, N, 1, wavelet, t.levels)
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(t.n), rng.standard_normal(t.n)
+
+    def per_band(op, cube):
+        planes = [op(cube[:, :, l].reshape(-1, order="F")) for l in range(L)]
+        return np.column_stack(planes).reshape(-1, order="F")
+
+    want = per_band(band.forward, dct_spectral_forward(x.reshape((M, N, L), order="F")))
+    want_t = per_band(band.inverse, dct_spectral_inverse(y.reshape((M, N, L), order="F")))
+    assert np.array_equal(t.forward(x), want)
+    assert np.array_equal(t.inverse(y), want_t)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cassirecon.cubes import band_chunks
 from cassirecon.errors import DimensionError
-from cassirecon.transforms import SparsifyingTransform, subband_map
+from cassirecon.transforms import SparsifyingTransform, default_levels, subband_map
 from cassirecon.wiener import (
     denoise_cube,
     estimate_stats,
@@ -239,3 +242,40 @@ def test_denoise_cube_matches_public_shrink_bit_for_bit():
     assert np.array_equal(out, t.inverse(wiener_shrink(theta, stats, sigma2, smap)))
     assert deriv == shrink_derivative_mean(stats, sigma2, smap)
     assert np.array_equal(theta, t.forward(q))  # wiener_shrink leaves its input alone
+
+
+def test_stats_and_shrink_across_band_chunks_match_scalar_reference(multi_chunk_shape):
+    # three band chunks, the last one shorter: group sums, the shrink and
+    # the mean gain's left-to-right chain must not see the chunk seams
+    M, N, L = multi_chunk_shape
+    smap = subband_map(M, N, L, default_levels(M, N))
+    theta = np.random.default_rng(12).standard_normal(smap.n)
+    sigma2 = 0.8
+    stats = estimate_stats(theta, smap)
+    means, variances, want, want_d = scalar_reference(
+        theta.tolist(), smap.labels.tolist(), smap.n_groups, sigma2
+    )
+    assert np.array_equal(stats.mean, means) and np.array_equal(stats.var, variances)
+    assert np.array_equal(wiener_shrink(theta, stats, sigma2, smap), want)
+    assert shrink_derivative_mean(stats, sigma2, smap) == want_d
+
+
+def test_denoise_cube_scratch_is_chunk_sized(multi_chunk_shape):
+    # Psi^T holds its input and its fresh output (two cubes); every other
+    # buffer of the call is chunk-sized. Cube-sized scratch (a ping-pong
+    # buffer, tap temporaries, filled gain and mean cubes) lifts the peak
+    # to four cubes.
+    M, N, _ = multi_chunk_shape
+    L = 22
+    assert len(band_chunks(M, N, L)) >= 6
+    t = SparsifyingTransform(M, N, L)
+    smap = subband_map(M, N, L, t.levels)
+    q = np.random.default_rng(13).standard_normal(t.n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        denoise_cube(q, 0.5, t, smap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / q.nbytes < 3.0
