@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import flat_vector
+from .cubes import band_chunks, flat_vector
 from .errors import DimensionError, check_finite
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
@@ -90,17 +90,39 @@ def noise_estimate(r: np.ndarray) -> float:
         return float(np.mean(r * r))
 
 
-def damp(new_vec: np.ndarray, old_vec: np.ndarray, alpha: float) -> np.ndarray:
-    """Convex combination alpha*new + (1-alpha)*old; alpha=1 returns new unchanged."""
+def damp(
+    new_vec: np.ndarray, old_vec: np.ndarray, alpha: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Convex combination alpha*new + (1-alpha)*old; alpha=1 returns new unchanged.
+
+    The result is fresh, or written into ``out``: a contiguous float64
+    array of ``new``'s shape, which may be ``new`` itself. The flat vector
+    is walked in chunks of ``band_chunks(1, 1, n)``: ``(1-alpha)*old`` goes
+    into one reused chunk-sized scratch, ``alpha*new`` into ``out``, and
+    the scratch is added, the same rounding steps as the expression.
+    """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"damping factor must be in (0, 1], got {alpha}")
     new = np.asarray(new_vec, dtype=np.float64)
     old = np.asarray(old_vec, dtype=np.float64)
     if new.shape != old.shape:
         raise DimensionError(f"shape mismatch {new.shape} vs {old.shape}")
+    if out is None:
+        out = np.empty(new.shape)
+    elif out.shape != new.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous float64 array of shape {new.shape}")
     if alpha == 1.0:
-        return new.copy()
-    return alpha * new + (1.0 - alpha) * old
+        np.copyto(out, new)
+        return out
+    new, old, flat = new.reshape(-1), old.reshape(-1), out.reshape(-1)
+    chunks = band_chunks(1, 1, flat.size)
+    scratch = np.empty(chunks[0][1] if chunks else 0)
+    for a, b in chunks:
+        tail = scratch[: b - a]
+        np.multiply(1.0 - alpha, old[a:b], out=tail)
+        np.multiply(alpha, new[a:b], out=flat[a:b])
+        flat[a:b] += tail
+    return out
 
 
 def residual_step(
@@ -150,16 +172,18 @@ def amp_iteration(
     start = time.perf_counter()
     t = state.t
     with np.errstate(over="ignore", invalid="ignore"):
+        # r_raw, q and f_half are this iteration's own arrays: each large
+        # result is written into one of them, never into state.f or state.r
         r_raw = residual_step(state.f, state.r, state.deriv_mean, g, model, t, trace)
-        r = damp(r_raw, state.r, alpha)
+        r = damp(r_raw, state.r, alpha, out=r_raw)
         q = pseudo_data(state.f, r, model)
         sigma2 = noise_estimate(r)
         check_finite(sigma2, "noise estimate", t, trace)
-        f_half, deriv = denoise_cube(q, sigma2, transform, smap)
+        f_half, deriv = denoise_cube(q, sigma2, transform, smap, out=q)
     # With sigma2 finite, a group gain (nu^2 - sigma2) / nu^2 is NaN exactly
     # when its variance nu^2 overflowed to inf, and the mean gain with it.
     check_finite(deriv, "group variances", t, trace)
-    f_next = damp(f_half, state.f, alpha)
+    f_next = damp(f_half, state.f, alpha, out=f_half)
     check_finite(f_next, "iterate", t, trace)
     if trace is not None:
         trace.append_iteration(

@@ -141,15 +141,21 @@ def _dct_matrix(L: int) -> np.ndarray:
     return D
 
 
-def _spectral(cube: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Apply ``D`` along the last axis; the result is a fresh Fortran-ordered cube.
+def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Apply ``D`` along the last axis; the result is a Fortran-ordered cube.
 
     On the Fortran-ordered (M*N, L) view X, ``(D @ X.T).T`` keeps that order,
-    so the reshape back to (M, N, L) copies nothing.
+    so the reshape back to (M, N, L) copies nothing. The result is fresh,
+    or written into ``out``, a Fortran-ordered cube of the same shape that
+    shares no memory with ``cube`` (``np.matmul`` would silently work
+    through a hidden copy).
     """
     cube = np.asarray(cube, dtype=np.float64)
     X = cube.reshape((-1, cube.shape[-1]), order="F")
-    return (D @ X.T).T.reshape(cube.shape, order="F")
+    if out is None:
+        return (D @ X.T).T.reshape(cube.shape, order="F")
+    np.matmul(D, X.T, out=out.reshape(X.shape, order="F").T)
+    return out
 
 
 def dct_spectral_forward(cube: np.ndarray) -> np.ndarray:
@@ -160,6 +166,25 @@ def dct_spectral_forward(cube: np.ndarray) -> np.ndarray:
 def dct_spectral_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse (transpose) of :func:`dct_spectral_forward`."""
     return _spectral(coeffs, _dct_matrix(np.shape(coeffs)[-1]).T)
+
+
+def _out_cube(out: Optional[np.ndarray], source: np.ndarray) -> Optional[np.ndarray]:
+    """``out`` viewed as a cube of ``source``'s shape, once it is checked usable."""
+    if out is None:
+        return None
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.ndim == 1
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValueError("out must be a writeable, contiguous, 1-D float64 array")
+    if out.size != source.size:
+        raise DimensionError(f"expected {source.size} output values, got {out.size}")
+    if np.shares_memory(out, source):
+        raise ValueError("out must not share memory with the coefficients")
+    return out.reshape(source.shape, order="F")
 
 
 @dataclass(frozen=True)
@@ -219,16 +244,19 @@ class SparsifyingTransform:
                 n //= 2
         return out.reshape(-1, order="F")
 
-    def inverse(self, theta: np.ndarray) -> np.ndarray:
+    def inverse(self, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Cube (flat) from a coefficient vector; exact inverse of ``forward``.
 
         The spectral inverse runs first: it commutes with the per-band
-        wavelet and yields the fresh array the wavelet levels then rebuild.
+        wavelet and yields the array the wavelet levels then rebuild. That
+        array is fresh, or ``out`` when given: a writeable, contiguous
+        float64 vector of ``n`` values that shares no memory with
+        ``theta``. The result is the same bits either way.
         """
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
-        out = dct_spectral_inverse(coeffs)
-        for chunk, buf in self._chunks(out):
+        cube = _spectral(coeffs, _dct_matrix(self.bands).T, _out_cube(out, coeffs))
+        for chunk, buf in self._chunks(cube):
             for j in range(self.levels, 0, -1):
                 m, n = self.rows >> (j - 1), self.cols >> (j - 1)
                 # columns of the block into buf, then the rows of buf back into the chunk
@@ -236,7 +264,7 @@ class SparsifyingTransform:
                     _cols(chunk[:m, : n // 2]), _cols(chunk[:m, n // 2 : n]), _cols(buf[:m, :n]), h, g
                 )
                 _merge(buf[: m // 2, :n], buf[m // 2 : m, :n], chunk[:m, :n], h, g)
-        return out.reshape(-1, order="F")
+        return cube.reshape(-1, order="F") if out is None else out
 
 
 @dataclass(frozen=True)

@@ -170,13 +170,16 @@ def denoise_cube(
     sigma2: float,
     transform: SparsifyingTransform,
     smap: SubbandMap,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Denoise a vectorized cube; returns (estimate, mean shrinkage gain).
 
     The coefficients are shrunk in place: ``transform.forward`` returns a
-    fresh array.
+    fresh array. The estimate is fresh, or written into ``out`` (see
+    ``SparsifyingTransform.inverse``); ``q`` is read only by Psi, so
+    ``out=q`` is allowed and saves a cube. ``q`` is left alone otherwise.
     """
     theta = transform.forward(q)
     stats = estimate_stats(theta, smap)
     deriv = _shrink(stats, sigma2, smap, theta)
-    return transform.inverse(theta), deriv
+    return transform.inverse(theta, out), deriv

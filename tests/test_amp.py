@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cassirecon.amp import (
     AmpConfig,
@@ -12,6 +15,7 @@ from cassirecon.amp import (
     residual_step,
     run_amp,
 )
+from cassirecon.cubes import CHUNK_BYTES
 from cassirecon.errors import DimensionError, DivergenceError
 from cassirecon.metrics import add_noise
 from cassirecon.operator import (
@@ -89,6 +93,34 @@ def test_damp_validation():
         damp(np.zeros(3), np.zeros(3), 0.0)
     with pytest.raises(DimensionError):
         damp(np.zeros(3), np.zeros(4), 0.5)
+
+
+# a flat chunk holds CHUNK_BYTES / 8 values: these lengths span three chunks, the last one short
+_FLAT_CHUNK = CHUNK_BYTES // 8
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.one_of(st.just(()), st.integers(2 * _FLAT_CHUNK + 1, 3 * _FLAT_CHUNK - 1).map(lambda n: (n,))),
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damp_by_chunk_matches_the_expression(shape, alpha, seed):
+    rng = np.random.default_rng(seed)
+    new, old = rng.standard_normal(shape), 1e3 * rng.standard_normal(shape)
+    kept = old.copy()
+    want = alpha * new + (1.0 - alpha) * old
+    assert np.array_equal(damp(new, old, alpha), want)
+    assert damp(new, old, alpha, out=new) is new
+    assert np.array_equal(new, want)
+    assert np.array_equal(old, kept)
+
+
+def test_damp_rejects_unusable_out():
+    with pytest.raises(ValueError, match="contiguous float64"):
+        damp(np.zeros(4), np.zeros(4), 0.5, out=np.zeros(8)[::2])
+    with pytest.raises(ValueError, match="contiguous float64"):
+        damp(np.zeros(4), np.zeros(4), 0.5, out=np.zeros(5))
 
 
 def test_pseudo_data_zero_residual():
@@ -196,6 +228,47 @@ def test_identity_like_operator_recovers_signal_in_one_step():
     t, smap = setup_solver(model)
     f2, _ = denoise_cube(q1, 0.0, t, smap)
     assert np.abs(f2 - f0).max() <= 1e-12
+
+
+def test_iteration_leaves_the_old_state_alone():
+    # criterion 05 and callers reuse the state they pass in
+    model = small_model(seed=8)
+    t, smap = setup_solver(model)
+    rng = np.random.default_rng(21)
+    state = AmpState(
+        f=rng.standard_normal(model.n), r=rng.standard_normal(model.m), sigma2=0.3, deriv_mean=0.4, t=2
+    )
+    f_bytes, r_bytes = state.f.tobytes(), state.r.tobytes()
+    g = rng.standard_normal(model.m)
+    nxt = amp_iteration(state, g, model, t, smap, 0.5)
+    assert state.f.tobytes() == f_bytes and state.r.tobytes() == r_bytes
+    for a in (nxt.f, nxt.r):
+        for b in (state.f, state.r, g):
+            assert not np.shares_memory(a, b)
+
+
+def test_iteration_holds_three_cubes():
+    # with the old iterate as input, q (which becomes f_half) and Psi's
+    # output are the only other cube-sized arrays; the residual, the chunk
+    # scratch and the operator's temporaries are small. A fresh Psi^T
+    # output would make a third cube above the inputs (3.47 here).
+    M, N, L = 64, 512, 22
+    model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
+    t, smap = setup_solver(model)
+    rng = np.random.default_rng(22)
+    state = AmpState(
+        f=rng.random(model.n), r=0.01 * rng.standard_normal(model.m), sigma2=0.1, deriv_mean=0.3, t=2
+    )
+    g = rng.standard_normal(model.m)
+    amp_iteration(state, g, model, t, smap, 0.2)  # first-use caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        amp_iteration(state, g, model, t, smap, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / state.f.nbytes < 3.0
 
 
 def test_run_single_iteration_matches_manual():

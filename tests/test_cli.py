@@ -567,3 +567,13 @@ def test_module_entry_point():
     assert done.returncode == 0
     assert "6/6 checks passed" in done.stdout
     assert cli("selfcheck", "--no-such-flag").returncode == 2
+
+
+def test_package_imports_without_scipy():
+    # the package does not depend on SciPy; CI installs it only for the benchmark
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cassirecon, cassirecon.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

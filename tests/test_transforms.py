@@ -325,3 +325,39 @@ def test_psi_across_band_chunks_matches_band_by_band(multi_chunk_shape, wavelet)
     want_t = per_band(band.inverse, dct_spectral_inverse(y.reshape((M, N, L), order="F")))
     assert np.array_equal(t.forward(x), want)
     assert np.array_equal(t.inverse(y), want_t)
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "db4"])
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "multi-chunk"])
+def test_psi_t_into_given_buffer_matches_fresh(multi_chunk_shape, wavelet, chunked):
+    M, N, L = multi_chunk_shape if chunked else (16, 8, 3)
+    t = SparsifyingTransform(M, N, L, wavelet)
+    theta = np.random.default_rng(14).standard_normal(t.n)
+    buf = np.full(t.n, np.nan)
+    assert t.inverse(theta, out=buf) is buf
+    assert np.array_equal(buf, t.inverse(theta))
+
+
+def _read_only(n):
+    a = np.zeros(n)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize(
+    "make_out, error, message",
+    [
+        (lambda theta: theta, ValueError, "share memory"),
+        (lambda theta: theta.base[3 : 3 + theta.size], ValueError, "share memory"),
+        (lambda theta: np.zeros(theta.size + 1), DimensionError, "output values"),
+        (lambda theta: _read_only(theta.size), ValueError, "writeable"),
+        (lambda theta: np.zeros(theta.size, dtype=np.float32), ValueError, "float64"),
+        (lambda theta: np.zeros(2 * theta.size)[::2], ValueError, "contiguous"),
+    ],
+    ids=["theta", "overlap", "length", "read-only", "float32", "strided"],
+)
+def test_psi_t_rejects_unusable_buffer(make_out, error, message):
+    t = SparsifyingTransform(8, 8, 2)
+    theta = np.random.default_rng(15).standard_normal(t.n + 8)[:t.n]
+    with pytest.raises(error, match=message):
+        t.inverse(theta, out=make_out(theta))

@@ -279,3 +279,32 @@ def test_denoise_cube_scratch_is_chunk_sized(multi_chunk_shape):
     finally:
         tracemalloc.stop()
     assert (peak - before) / q.nbytes < 3.0
+
+
+def test_denoise_cube_into_its_input_matches_fresh(multi_chunk_shape):
+    M, N, L = multi_chunk_shape
+    t = SparsifyingTransform(M, N, L, "db4")
+    smap = subband_map(M, N, L, t.levels)
+    q = np.random.default_rng(16).standard_normal(t.n)
+    want, want_deriv = denoise_cube(q.copy(), 0.6, t, smap)
+    got, deriv = denoise_cube(q, 0.6, t, smap, out=q)
+    assert got is q
+    assert np.array_equal(got, want) and deriv == want_deriv
+
+
+def test_denoise_cube_into_its_input_holds_one_more_cube(multi_chunk_shape):
+    # Psi's output is the one cube-sized array of the call when Psi^T
+    # writes into q; a fresh Psi^T output adds a second
+    M, N, _ = multi_chunk_shape
+    L = 22
+    t = SparsifyingTransform(M, N, L)
+    smap = subband_map(M, N, L, t.levels)
+    q = np.random.default_rng(17).standard_normal(t.n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        denoise_cube(q, 0.5, t, smap, out=q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / q.nbytes < 2.0
