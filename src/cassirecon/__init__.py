@@ -9,8 +9,8 @@ or with an accelerated proximal-gradient l1 baseline.
 from .amp import AmpConfig, AmpTrace, run_amp
 from .cubes import HyperCube, MeasurementSet
 from .errors import DimensionError, DivergenceError
-from .fista import L1Config, fista_run, power_method, soft_threshold, sweep_lambda
-from .metrics import add_noise, avg_psnr, measure_snr, psnr_slice
+from .fista import L1Config, fista_run, soft_threshold, sweep_lambda
+from .metrics import add_noise, avg_psnr, measure_snr
 from .operator import (
     CassiModel,
     CodedApertureSet,
@@ -41,14 +41,12 @@ __all__ = [
     "DivergenceError",
     "L1Config",
     "fista_run",
-    "power_method",
     "soft_threshold",
     "sweep_lambda",
     "KERNEL_BACKEND",
     "add_noise",
     "avg_psnr",
     "measure_snr",
-    "psnr_slice",
     "CassiModel",
     "CodedApertureSet",
     "DispersionWeights",

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import band_chunks, flat_vector
+from .cubes import flat_vector
 from .errors import DimensionError, check_finite
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
@@ -96,10 +96,10 @@ def damp(
     """Convex combination alpha*new + (1-alpha)*old; alpha=1 returns new unchanged.
 
     The result is fresh, or written into ``out``: a contiguous float64
-    array of ``new``'s shape, which may be ``new`` itself. The flat vector
-    is walked in chunks of ``band_chunks(1, 1, n)``: ``(1-alpha)*old`` goes
-    into one reused chunk-sized scratch, ``alpha*new`` into ``out``, and
-    the scratch is added, the same rounding steps as the expression.
+    array of ``new``'s shape, which may be ``new`` or ``old`` itself.
+    ``(1-alpha)*old`` goes into one temporary, ``alpha*new`` into ``out``,
+    and the temporary is added: the expression's three roundings, with one
+    temporary instead of two.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"damping factor must be in (0, 1], got {alpha}")
@@ -114,14 +114,9 @@ def damp(
     if alpha == 1.0:
         np.copyto(out, new)
         return out
-    new, old, flat = new.reshape(-1), old.reshape(-1), out.reshape(-1)
-    chunks = band_chunks(1, 1, flat.size)
-    scratch = np.empty(chunks[0][1] if chunks else 0)
-    for a, b in chunks:
-        tail = scratch[: b - a]
-        np.multiply(1.0 - alpha, old[a:b], out=tail)
-        np.multiply(alpha, new[a:b], out=flat[a:b])
-        flat[a:b] += tail
+    tail = (1.0 - alpha) * old
+    np.multiply(alpha, new, out=out)
+    out += tail
     return out
 
 

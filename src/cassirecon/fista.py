@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,43 +62,26 @@ def soft_threshold(theta: np.ndarray, tau: float) -> np.ndarray:
     return np.copysign(out, theta, out=out)
 
 
-def power_method(
-    forward: Callable[[np.ndarray], np.ndarray],
-    adjoint: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    iters: int = 50,
-    seed: int = 0,
-) -> float:
-    """Largest eigenvalue of A^T A (= ||A||^2) by power iteration.
+def operator_norm_squared(model: CassiModel, iters: int = 50, seed: int = 0) -> float:
+    """||H||^2, the largest eigenvalue of H^T H, by power iteration.
 
     The returned Rayleigh quotient is nondecreasing in ``iters`` because
-    A^T A is positive semidefinite.
+    H^T H is positive semidefinite.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(model.n)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(iters):
-        w = adjoint(forward(v))
+        w = adjoint_apply(model, forward_apply(model, v))
         est = float(v @ w)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
     return est
-
-
-def operator_norm_squared(model: CassiModel, iters: int = 50, seed: int = 0) -> float:
-    """||H||^2 for a measurement model, via :func:`power_method`."""
-    return power_method(
-        lambda x: forward_apply(model, x),
-        lambda y: adjoint_apply(model, y),
-        model.n,
-        iters=iters,
-        seed=seed,
-    )
 
 
 def _lipschitz_step(model: CassiModel) -> float:

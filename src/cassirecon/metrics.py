@@ -69,15 +69,6 @@ def per_band_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0)
         return 10.0 * np.log10(peak * peak / mse)
 
 
-def psnr_slice(ref_slice: np.ndarray, est_slice: np.ndarray, peak: float = 1.0) -> float:
-    """PSNR of one 2D slice in dB: :func:`per_band_psnr` of a one-band cube."""
-    ref = np.asarray(ref_slice, dtype=np.float64)
-    est = np.asarray(est_slice, dtype=np.float64)
-    if ref.shape != est.shape or ref.ndim != 2:
-        raise DimensionError(f"expected matching 2D slices, got {ref.shape} vs {est.shape}")
-    return float(per_band_psnr(ref[:, :, None], est[:, :, None], peak)[0])
-
-
 class PsnrSummary(NamedTuple):
     value: float
     infinite_bands: int
@@ -112,9 +103,9 @@ class Trace:
     """Per-iteration solver diagnostics: named columns, one row per iteration.
 
     The columns named at construction are written even when no row was
-    recorded, so a run that fails at once still leaves its CSV header;
-    ``append`` adds a column it has not seen. ``trace.<column>`` reads one
-    column as a list.
+    recorded, so a run that fails at once still leaves its CSV header.
+    Every row names exactly these columns, so they stay of equal length.
+    ``trace.<column>`` reads one column as a list.
     """
 
     def __init__(self, *names: str):
@@ -136,8 +127,13 @@ class Trace:
         return cls(*names, *psnr, "wall_ms")
 
     def append(self, **row: float) -> None:
+        """Append one row; it must name exactly the trace's columns, in any order."""
+        if row.keys() != self.columns.keys():
+            raise ValueError(
+                f"row columns {list(row)} differ from the trace's columns {list(self.columns)}"
+            )
         for name, value in row.items():
-            self.columns.setdefault(name, []).append(value)
+            self.columns[name].append(value)
 
     def append_iteration(
         self, start: float, estimate: np.ndarray, truth: Optional[np.ndarray], **row: float

@@ -274,8 +274,9 @@ class SubbandMap:
     ``blocks`` holds one ``(rows, cols)`` slice pair per spatial subband, in
     subband-index order: the level-J approximation, then the three detail
     quadrants of each scale from level 1 up. Group ``l * (3J + 1) + s`` is
-    block ``s`` of band ``l`` of the (M, N, L) coefficient cube ``shape``;
-    there are exactly ``L * (3J + 1)`` groups and their sizes sum to M*N*L.
+    block ``s`` of band ``l`` of the (M, N, L) coefficient cube ``shape``.
+    The ``L * (3J + 1)`` groups tile the cube, and a group's member count
+    is the area of its block.
     """
 
     blocks: tuple[tuple[slice, slice], ...]
@@ -288,14 +289,6 @@ class SubbandMap:
     @property
     def n_groups(self) -> int:
         return len(self.blocks) * self.shape[2]
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Member count of every group: the area of its block."""
-        areas = [(r.stop - r.start) * (c.stop - c.start) for r, c in self.blocks]
-        sizes = np.tile(np.array(areas, dtype=np.int64), self.shape[2])
-        sizes.flags.writeable = False
-        return sizes
 
     @cached_property
     def labels(self) -> np.ndarray:

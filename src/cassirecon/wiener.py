@@ -24,28 +24,14 @@ from .transforms import SparsifyingTransform, SubbandMap
 
 @dataclass(frozen=True)
 class SubbandStats:
-    """Per-group empirical mean, population variance and member count."""
+    """Per-group empirical mean and population variance."""
 
     mean: np.ndarray
     var: np.ndarray
-    count: np.ndarray
 
 
-def _same_shape_blocks(smap: SubbandMap) -> dict[tuple[int, int], list[int]]:
-    """Indices of ``smap.blocks`` keyed by block shape, in first-seen order.
-
-    The blocks of one shape (the three details of a scale, plus the
-    approximation at the coarsest) share one buffer, so the statistics'
-    arithmetic runs once per scale rather than once per block.
-    """
-    classes: dict = {}
-    for s, (r, c) in enumerate(smap.blocks):
-        classes.setdefault((r.stop - r.start, c.stop - c.start), []).append(s)
-    return classes
-
-
-def _column_totals(cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum of each column of ``cols``, added top to bottom; ``out`` is scratch.
+def _column_totals(cols: np.ndarray) -> np.ndarray:
+    """Sum of each column of ``cols``, added top to bottom.
 
     ``np.add.accumulate`` fixes that order, so the sums equal a scalar
     loop's bit for bit. ``np.add.reduce`` does not: NumPy picks pairwise or
@@ -53,43 +39,34 @@ def _column_totals(cols: np.ndarray, out: np.ndarray) -> np.ndarray:
     pairwise. Adding +0.0 starts each sum from +0.0, as ``np.bincount`` and
     the scalar loop do.
     """
-    np.add.accumulate(cols, axis=0, out=out)
-    return out[-1] + 0.0
+    return np.add.accumulate(cols, axis=0)[-1] + 0.0
 
 
 def estimate_stats(theta: np.ndarray, smap: SubbandMap) -> SubbandStats:
     """Empirical mean and population variance of each coefficient group.
 
     Population (1/|g|) normalization keeps the variance defined for
-    singleton groups, which occur at the coarsest wavelet scale. The blocks
-    of one shape are copied, a band chunk at a time, into one reused
-    buffer, a column per group with its members in flat coefficient order.
-    Each group lies in one band, so chunking leaves every sum's order alone.
+    singleton groups, which occur at the coarsest wavelet scale. Each block
+    is copied a band chunk at a time, a column per group with its members
+    in flat coefficient order. Each group lies in one band, so chunking
+    leaves every sum's order alone. The copy is needed for every block: for
+    a single-row block a reshape alone returns a view of ``theta``, which
+    the in-place arithmetic would then overwrite.
     """
     cube = cube_view(theta, smap.shape, "coefficients")
     L = smap.shape[2]
     # row s, column l holds group l * (3J + 1) + s
     mean = np.empty((len(smap.blocks), L))
     var = np.empty_like(mean)
-    for (m, n), ids in _same_shape_blocks(smap).items():
-        k = len(ids)
-        # chunks of the work buffer, whose plane is k blocks of m x n
-        chunks = band_chunks(m, n * k, L)
-        width = chunks[0][1]
-        work_buf = np.empty((m, n, k, width), order="F")
-        scratch_buf = np.empty((m * n, k * width), order="F")
-        for a, b in chunks:
-            work = work_buf[..., : b - a]
-            for q, s in enumerate(ids):
-                work[:, :, q] = cube[smap.blocks[s] + (slice(a, b),)]
-            cols = work.reshape(m * n, k * (b - a), order="F")  # a view of work
-            scratch = scratch_buf[:, : k * (b - a)]
-            block_mean = (_column_totals(cols, scratch) / (m * n)).reshape(k, b - a, order="F")
-            work -= block_mean
-            work *= work
-            var[ids, a:b] = (_column_totals(cols, scratch) / (m * n)).reshape(k, b - a, order="F")
-            mean[ids, a:b] = block_mean
-    return SubbandStats(mean=mean.ravel(order="F"), var=var.ravel(order="F"), count=smap.sizes)
+    for s, (r, c) in enumerate(smap.blocks):
+        m, n = r.stop - r.start, c.stop - c.start
+        for a, b in band_chunks(m, n, L):
+            cols = cube[r, c, a:b].flatten(order="F").reshape(m * n, b - a, order="F")
+            mean[s, a:b] = _column_totals(cols) / (m * n)
+            cols -= mean[s, a:b]
+            cols *= cols
+            var[s, a:b] = _column_totals(cols) / (m * n)
+    return SubbandStats(mean=mean.ravel(order="F"), var=var.ravel(order="F"))
 
 
 def _group_gains(stats: SubbandStats, sigma2: float) -> np.ndarray:

@@ -179,7 +179,7 @@ def test_iteration_matches_dense_reference():
     d_prev = 0.42
     alpha = 0.2
     state = AmpState(f=f, r=r_prev, sigma2=0.3, deriv_mean=d_prev, t=2)
-    trace = AmpTrace()
+    trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
     new = amp_iteration(state, g, model, t, smap, alpha, trace)
     ref_f, ref_r, ref_s2, ref_d = reference_iteration(
         H, model.rate, f, r_prev, d_prev, g, alpha, t, smap
@@ -326,7 +326,7 @@ def test_trace_derivative_matches_recomputation():
     rng = np.random.default_rng(12)
     g = rng.standard_normal(model.m)
     state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
-    trace = AmpTrace()
+    trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
     new = amp_iteration(state, g, model, t, smap, 0.2, trace)
     # recompute the shrinkage statistics this iteration actually used
     q = pseudo_data(state.f, new.r, model)

@@ -6,7 +6,6 @@ from cassirecon.fista import (
     L1Config,
     fista_run,
     operator_norm_squared,
-    power_method,
     soft_threshold,
     sweep_lambda,
 )
@@ -154,20 +153,6 @@ def test_power_method_close_to_dense_norm():
     dense = np.linalg.norm(H, 2) ** 2
     est = operator_norm_squared(model, iters=100, seed=0)
     assert abs(est - dense) <= 0.01 * dense
-
-
-def test_power_method_scales_quadratically():
-    model = small_model(seed=2)
-    c = 3.0
-    base = operator_norm_squared(model, iters=60, seed=1)
-    scaled = power_method(
-        lambda x: c * forward_apply(model, x),
-        lambda y: c * adjoint_apply(model, y),
-        model.n,
-        iters=60,
-        seed=1,
-    )
-    assert scaled == pytest.approx(c * c * base, rel=1e-12)
 
 
 def test_power_method_rayleigh_monotone():

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from cassirecon.amp import AmpTrace
 from cassirecon.errors import DimensionError
-from cassirecon.metrics import Trace, add_noise, avg_psnr, measure_snr, psnr_slice
+from cassirecon.metrics import Trace, add_noise, avg_psnr, measure_snr, per_band_psnr
 from cassirecon.phantoms import PHANTOM_KINDS, phantom_cube
 from cassirecon.transforms import SparsifyingTransform, subband_map
 
@@ -57,23 +59,23 @@ def test_measure_snr_scale_invariant():
 
 
 def test_psnr_formula():
-    ref = np.zeros((4, 4))
-    est = np.full((4, 4), 0.1)
-    assert psnr_slice(ref, est, peak=1.0) == pytest.approx(20.0, abs=1e-12)
-    assert psnr_slice(ref, ref) == np.inf
+    ref = np.zeros((4, 4, 1))
+    est = np.full((4, 4, 1), 0.1)
+    assert per_band_psnr(ref, est, peak=1.0)[0] == pytest.approx(20.0, abs=1e-12)
+    assert per_band_psnr(ref, ref)[0] == np.inf
     with pytest.raises(DimensionError):
-        psnr_slice(np.zeros((2, 2)), np.zeros((2, 3)))
+        per_band_psnr(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)))
     for peak in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="peak"):
-            psnr_slice(ref, est, peak=peak)
+            per_band_psnr(ref, est, peak=peak)
 
 
 def test_psnr_translation_consistent():
     rng = np.random.default_rng(4)
-    ref = rng.random((8, 8))
-    est = ref + 0.05 * rng.standard_normal((8, 8))
-    shifted = psnr_slice(ref + 0.3, est + 0.3)
-    assert shifted == pytest.approx(psnr_slice(ref, est), rel=1e-12)
+    ref = rng.random((8, 8, 1))
+    est = ref + 0.05 * rng.standard_normal((8, 8, 1))
+    shifted = per_band_psnr(ref + 0.3, est + 0.3)[0]
+    assert shifted == pytest.approx(per_band_psnr(ref, est)[0], rel=1e-12)
 
 
 def test_avg_psnr_mean_and_sentinels():
@@ -165,11 +167,15 @@ def test_trace_columns_csv_and_attribute_read():
         trace.missing
 
 
-def test_trace_append_adds_unseen_columns_in_order():
-    trace = Trace()
-    trace.append(x=1.0, y=2.0)
-    assert list(trace.columns) == ["x", "y"]
-    assert trace.to_csv().splitlines() == ["iter,x,y", "1,1.0,2.0"]
+def test_trace_append_rejects_rows_with_other_columns():
+    trace = Trace("a", "b")
+    trace.append(b=2.0, a=1.0)
+    for row in ({"a": 3.0}, {"a": 3.0, "b": 4.0, "c": 5.0}):
+        msg = f"{list(row)} differ from the trace's columns ['a', 'b']"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            trace.append(**row)
+    assert len(trace) == 1
+    assert trace.to_csv() == "iter,a,b\n1,1.0,2.0\n"
 
 
 def test_amp_trace_is_the_shared_trace():

@@ -48,7 +48,7 @@ def test_stats_identical_coefficients():
     stats = estimate_stats(theta, smap)
     assert np.all(stats.mean == 2.5)
     assert np.all(stats.var == 0.0)
-    assert list(stats.count) == [4, 4, 4, 4]
+    assert stats.mean.shape == stats.var.shape == (4,)
 
 
 def test_stats_pair_example():
