@@ -93,7 +93,16 @@ def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.n
     ``x[s % 2 : 2 * (s // 2) : 2]`` for the last ``s // 2``; s differs from t
     only when the block is shorter than the filter. Each output accumulates
     its taps in order from zero, as the gather form ``x[(2i + t) % n]`` does.
+
+    Haar (``h == (s, s)``, so ``g == (s, -s)``) shares its products: with
+    ``p = s * x``, ``lo = p[0::2] + p[1::2]`` and ``hi = p[0::2] - p[1::2]``.
+    Since ``round(-s * x) == -round(s * x)``, these are the tap loop's bits.
     """
+    if h.size == 2 and h[0] == h[1]:
+        p = h[0] * x
+        np.add(p[0::2], p[1::2], out=lo)
+        np.subtract(p[0::2], p[1::2], out=hi)
+        return
     n = x.shape[0]
     half = n // 2
     np.multiply(x[0::2], h[0], out=lo)
@@ -113,7 +122,15 @@ def _merge(lo: np.ndarray, hi: np.ndarray, out: np.ndarray, h: np.ndarray, g: np
     """Transpose of :func:`_split`: rebuild ``out`` (2x the rows) from ``lo`` and ``hi``.
 
     Taps 0 and 1 write every even and odd row once; later taps add in order.
+    Haar shares its products as in :func:`_split`: with ``a = s * lo`` and
+    ``b = s * hi``, the even rows are ``a + b`` and the odd rows ``a - b``.
     """
+    if h.size == 2 and h[0] == h[1]:
+        a = h[0] * lo
+        b = h[0] * hi
+        np.add(a, b, out=out[0::2])
+        np.subtract(a, b, out=out[1::2])
+        return
     half = lo.shape[0]
     n = 2 * half
     out[0::2] = h[0] * lo + g[0] * hi

@@ -291,6 +291,36 @@ def test_reconstruct_fista_with_truth_trace_header(workdir):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "solver_args",
+    [("--solver", "amp"), ("--solver", "fista", "--lambda", 0.01, "--levels", 1)],
+    ids=["amp", "fista"],
+)
+def test_reconstruct_db4_with_truth_trace(tmp_path, solver_args):
+    # db4 runs the general tap loop; every other CLI test runs Haar
+    fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(16, 16, 8, "gaussian-blobs", seed=3))
+    assert run_cli(
+        "aperture", "--rows", 16, "--cols", 16, "--shots", 2, "--seed", 5,
+        "--out", tmp_path / "ap.hsa",
+    ) == 0
+    assert run_cli(
+        "simulate", "--cube", tmp_path / "cube.hsc", "--apertures", tmp_path / "ap.hsa",
+        "--snr", 20, "--seed", 7, "--out", tmp_path / "meas.hsm",
+    ) == 0
+    code = run_cli(
+        "reconstruct", "--measurements", tmp_path / "meas.hsm",
+        "--apertures", tmp_path / "ap.hsa", *solver_args, "--wavelet", "db4",
+        "--iters", 20, "--out", tmp_path / "rec.hsc",
+        "--truth", tmp_path / "cube.hsc", "--trace", tmp_path / "trace.csv",
+    )
+    assert code == 0
+    assert fileio.read_cube(tmp_path / "rec.hsc").shape == (16, 16, 8)
+    header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(rows) == 20
+    psnr = header.split(",").index("psnr")
+    assert all(np.isfinite(float(row.split(",")[psnr])) for row in rows)
+
+
 @pytest.mark.parametrize("truth", [False, True])
 @pytest.mark.parametrize(
     "solver, patched, broken, header",

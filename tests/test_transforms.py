@@ -247,37 +247,38 @@ def psi_oracle(cube, wavelet, levels):
 
 
 def psi_t_oracle(theta, shape, wavelet, levels):
-    """Transpose of :func:`psi_oracle`: columns merged, then rows, coarsest level first."""
+    """Transpose of :func:`psi_oracle`: the inverse DCT first (the factors commute),
+    then columns merged, then rows, coarsest level first."""
     h, g = _filter_pair(wavelet)
-    out = theta.reshape(shape, order="F").copy()
+    out = dct_spectral_inverse(theta.reshape(shape, order="F"))
     for j in range(levels, 0, -1):
         m, n = shape[0] >> (j - 1), shape[1] >> (j - 1)
         t = np.swapaxes(out[:m, :n], 0, 1)
         cols = np.swapaxes(_synthesize_axis0_oracle(t[: n // 2], t[n // 2 :], h, g), 0, 1)
         out[:m, :n] = _synthesize_axis0_oracle(cols[: m // 2], cols[m // 2 :], h, g)
-    return dct_spectral_inverse(out).reshape(-1, order="F")
+    return out.reshape(-1, order="F")
 
 
-# db4 blocks of 2 and 4 rows are shorter than the filter and wrap more than once
+# db4 blocks of 2 and 4 rows are shorter than the filter and wrap more than once;
+# the multi-chunk case (multi_chunk_shape) crosses band-chunk boundaries
 @pytest.mark.parametrize("wavelet", ["haar", "db4"])
 @pytest.mark.parametrize(
     "M, N, L, levels",
     [(8, 8, 1, 3), (16, 8, 1, 2), (16, 16, 1, 1), (32, 16, 1, 3),
-     (8, 8, 4, 3), (16, 8, 5, 2), (32, 32, 8, 2)],
+     (8, 8, 4, 3), (16, 8, 5, 2), (32, 32, 8, 2),
+     pytest.param(None, None, None, 3, id="multi-chunk")],
 )
-def test_psi_matches_gather_form_oracle(wavelet, M, N, L, levels):
+def test_psi_matches_gather_form_oracle(multi_chunk_shape, wavelet, M, N, L, levels):
+    if M is None:
+        M, N, L = multi_chunk_shape
     rng = np.random.default_rng(M + N + L + levels)
     t = SparsifyingTransform(M, N, L, wavelet, levels)
     x = rng.standard_normal(t.n)
     y = rng.standard_normal(t.n)
     got, want = t.forward(x), psi_oracle(x.reshape((M, N, L), order="F"), wavelet, levels)
     got_t, want_t = t.inverse(y), psi_t_oracle(y, (M, N, L), wavelet, levels)
-    if L == 1:
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_t, want_t)
-    else:
-        assert np.abs(got - want).max() <= 1e-13
-        assert np.abs(got_t - want_t).max() <= 1e-13
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_t, want_t)
 
 
 def test_psi_inverse_matches_dense_transpose_db4():
