@@ -90,55 +90,39 @@ def noise_estimate(r: np.ndarray) -> float:
         return float(np.mean(r * r))
 
 
-def damp(
-    new_vec: np.ndarray, old_vec: np.ndarray, alpha: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Convex combination alpha*new + (1-alpha)*old; alpha=1 returns new unchanged.
+def damp(new: np.ndarray, old: np.ndarray, alpha: float) -> np.ndarray:
+    """Convex combination alpha*new + (1-alpha)*old, written over ``new``.
 
-    The result is fresh, or written into ``out``: a contiguous float64
-    array of ``new``'s shape, which may be ``new`` or ``old`` itself.
-    ``(1-alpha)*old`` goes into one temporary, ``alpha*new`` into ``out``,
-    and the temporary is added: the expression's three roundings, with one
-    temporary instead of two.
+    ``new`` is taken as float64: a list or another dtype becomes a copy,
+    which is written and returned. ``(1-alpha)*old`` goes into one
+    temporary, ``new`` is scaled by alpha in place and the temporary is
+    added: the expression's three roundings, with one temporary instead of
+    two. ``old`` may be ``new`` itself; alpha=1 returns ``new`` untouched.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"damping factor must be in (0, 1], got {alpha}")
-    new = np.asarray(new_vec, dtype=np.float64)
-    old = np.asarray(old_vec, dtype=np.float64)
+    new = np.asarray(new, dtype=np.float64)
+    old = np.asarray(old, dtype=np.float64)
     if new.shape != old.shape:
         raise DimensionError(f"shape mismatch {new.shape} vs {old.shape}")
-    if out is None:
-        out = np.empty(new.shape)
-    elif out.shape != new.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous float64 array of shape {new.shape}")
-    if alpha == 1.0:
-        np.copyto(out, new)
-        return out
-    tail = (1.0 - alpha) * old
-    np.multiply(alpha, new, out=out)
-    out += tail
-    return out
+    if alpha < 1.0:
+        tail = (1.0 - alpha) * old
+        new *= alpha
+        new += tail
+    return new
 
 
 def residual_step(
-    f: np.ndarray,
-    r_prev: np.ndarray,
-    deriv_mean: float,
-    g: np.ndarray,
-    model: CassiModel,
-    iteration: int = 1,
-    trace: Optional[Trace] = None,
+    f: np.ndarray, r_prev: np.ndarray, deriv_mean: float, g: np.ndarray, model: CassiModel
 ) -> np.ndarray:
-    """Residual with the reaction-term correction (step 1).
+    """Residual with the reaction-term correction (step 1), a fresh array.
 
     With r_prev = 0 (first iteration) this reduces to the plain residual
     g - H f.
     """
     g = flat_vector(g, model.m, "measurements")
     r_prev = flat_vector(r_prev, model.m, "residual values")
-    r = g - forward_apply(model, f) + (deriv_mean / model.rate) * r_prev
-    check_finite(r, "residual", iteration, trace)
-    return r
+    return g - forward_apply(model, f) + (deriv_mean / model.rate) * r_prev
 
 
 def pseudo_data(f: np.ndarray, r: np.ndarray, model: CassiModel) -> np.ndarray:
@@ -167,10 +151,13 @@ def amp_iteration(
     start = time.perf_counter()
     t = state.t
     with np.errstate(over="ignore", invalid="ignore"):
-        # r_raw, q and f_half are this iteration's own arrays: each large
-        # result is written into one of them, never into state.f or state.r
-        r_raw = residual_step(state.f, state.r, state.deriv_mean, g, model, t, trace)
-        r = damp(r_raw, state.r, alpha, out=r_raw)
+        # the residual, q and f_half are this iteration's own fresh arrays:
+        # each damp writes over its first argument and the denoiser over q,
+        # never over state.f or state.r
+        r = damp(residual_step(state.f, state.r, state.deriv_mean, g, model), state.r, alpha)
+        # with 0 < alpha and state.r finite, r is non-finite exactly when
+        # the raw residual is
+        check_finite(r, "residual", t, trace)
         q = pseudo_data(state.f, r, model)
         sigma2 = noise_estimate(r)
         check_finite(sigma2, "noise estimate", t, trace)
@@ -178,7 +165,7 @@ def amp_iteration(
     # With sigma2 finite, a group gain (nu^2 - sigma2) / nu^2 is NaN exactly
     # when its variance nu^2 overflowed to inf, and the mean gain with it.
     check_finite(deriv, "group variances", t, trace)
-    f_next = damp(f_half, state.f, alpha, out=f_half)
+    f_next = damp(f_half, state.f, alpha)
     check_finite(f_next, "iterate", t, trace)
     if trace is not None:
         trace.append_iteration(

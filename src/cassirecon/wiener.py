@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cubes import band_chunks, cube_view, flat_vector
+from .errors import DimensionError
 from .transforms import SparsifyingTransform, SubbandMap
 
 
@@ -90,8 +91,14 @@ def _shrink(
     Slot 0 of the gain buffer carries the running sum from chunk to chunk,
     so the in-place ``np.add.accumulate`` adds left to right over the whole
     flat vector, as one accumulate from +0.0 would. The denoiser and the two
-    public functions below run this same arithmetic.
+    public functions below run this same arithmetic, and the same check that
+    ``stats`` holds one mean and one variance per group of ``smap``.
     """
+    if not (stats.mean.size == stats.var.size == smap.n_groups):
+        raise DimensionError(
+            f"statistics of {stats.mean.size} means and {stats.var.size} variances "
+            f"do not fit a map of {smap.n_groups} groups"
+        )
     M, N, L = smap.shape
     gains = _group_gains(stats, sigma2).reshape(-1, L, order="F")
     means = stats.mean.reshape(-1, L, order="F")
@@ -155,7 +162,15 @@ def denoise_cube(
     fresh array. The estimate is fresh, or written into ``out`` (see
     ``SparsifyingTransform.inverse``); ``q`` is read only by Psi, so
     ``out=q`` is allowed and saves a cube. ``q`` is left alone otherwise.
+    ``smap`` must describe the transform's coefficients: its shape and its
+    ``3 * levels + 1`` blocks per band.
     """
+    layout = (transform.rows, transform.cols, transform.bands)
+    if smap.shape != layout or len(smap.blocks) != 3 * transform.levels + 1:
+        raise DimensionError(
+            f"subband map of shape {smap.shape} with {len(smap.blocks)} blocks per band "
+            f"does not fit a {layout} transform at {transform.levels} levels"
+        )
     theta = transform.forward(q)
     stats = estimate_stats(theta, smap)
     deriv = _shrink(stats, sigma2, smap, theta)

@@ -178,6 +178,28 @@ def test_length_mismatch_rejected():
         estimate_stats(np.ones(5), smap)
 
 
+def test_stats_from_another_map_rejected():
+    fine = subband_map(16, 16, 4, 3)  # 40 groups
+    coarse = subband_map(16, 16, 4, 1)  # 16 groups
+    rng = np.random.default_rng(30)
+    theta = rng.standard_normal(fine.n)
+    for stats_map, smap in ((fine, coarse), (coarse, fine)):
+        stats = estimate_stats(theta, stats_map)
+        with pytest.raises(DimensionError, match="groups"):
+            wiener_shrink(theta, stats, 0.1, smap)
+        with pytest.raises(DimensionError, match="groups"):
+            shrink_derivative_mean(stats, 0.1, smap)
+
+
+def test_denoise_rejects_a_map_of_another_layout():
+    t = SparsifyingTransform(16, 16, 4, levels=3)
+    q = np.random.default_rng(31).standard_normal(t.n)
+    # too few levels, then the same n in another shape
+    for smap in (subband_map(16, 16, 4, 1), subband_map(8, 32, 4, 2)):
+        with pytest.raises(DimensionError, match="does not fit"):
+            denoise_cube(q, 0.1, t, smap)
+
+
 def test_denoise_zero_noise_round_trip():
     t = SparsifyingTransform(8, 8, 4)
     smap = subband_map(8, 8, 4, t.levels)
