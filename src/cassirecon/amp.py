@@ -28,7 +28,7 @@ import numpy as np
 from .cubes import flat_vector
 from .errors import DimensionError, check_finite
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
-from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
+from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
 from .transforms import SparsifyingTransform, SubbandMap, check_levels, subband_map
 from .wiener import denoise_cube
@@ -140,13 +140,11 @@ def amp_iteration(
     smap: SubbandMap,
     alpha: float,
     trace: Optional[Trace] = None,
-    truth_cube: Optional[np.ndarray] = None,
 ) -> AmpState:
     """Run one full solver iteration and append a trace row.
 
     The row holds ``sigma2``, ``residual_norm``, ``derivative_mean``, then
-    ``psnr`` when ``truth_cube`` (an (M, N, L) array) is given, and
-    ``wall_ms``.
+    ``psnr`` when the trace holds a truth cube, and ``wall_ms``.
     """
     start = time.perf_counter()
     t = state.t
@@ -169,7 +167,7 @@ def amp_iteration(
     check_finite(f_next, "iterate", t, trace)
     if trace is not None:
         trace.append_iteration(
-            start, f_next, truth_cube,
+            start, f_next,
             sigma2=sigma2, residual_norm=float(np.linalg.norm(r)), derivative_mean=deriv,
         )
     return AmpState(f=f_next, r=r, sigma2=sigma2, deriv_mean=deriv, t=t + 1)
@@ -189,15 +187,11 @@ def run_amp(
     On divergence the raised error carries the partial trace.
     """
     g = flat_vector(g, model.m, "measurements")
-    transform = SparsifyingTransform(
-        model.rows, model.cols, model.bands, wavelet=config.wavelet, levels=config.levels
-    )
-    smap = subband_map(model.rows, model.cols, model.bands, transform.levels)
-    ref = reference_cube(truth, (model.rows, model.cols, model.bands))
-    trace = Trace.for_solver(ref, "sigma2", "residual_norm", "derivative_mean")
-    state = AmpState(
-        f=np.zeros(model.n), r=np.zeros(model.m), sigma2=0.0, deriv_mean=0.0, t=1
-    )
+    shape = (model.rows, model.cols, model.bands)
+    transform = SparsifyingTransform(*shape, wavelet=config.wavelet, levels=config.levels)
+    smap = subband_map(*shape, transform.levels)
+    trace = Trace.for_solver(truth, shape, "sigma2", "residual_norm", "derivative_mean")
+    state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
     for _ in range(config.max_iter):
-        state = amp_iteration(state, g, model, transform, smap, config.alpha, trace, ref)
+        state = amp_iteration(state, g, model, transform, smap, config.alpha, trace)
     return state.f, trace

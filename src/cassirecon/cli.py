@@ -12,13 +12,14 @@ Exit codes: 0 success, 2 usage or validation error, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 from . import fileio
-from .amp import DEFAULT_ALPHA, AmpConfig, run_amp
+from .amp import DEFAULT_ALPHA, DEFAULT_MAX_ITER, AmpConfig, run_amp
 from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet, check_seed
 from .errors import DivergenceError
 from .fista import L1Config, fista_run
@@ -64,7 +65,17 @@ def _cmd_aperture(args) -> int:
     return EXIT_OK
 
 
+def _check_distinct(args, outputs: tuple[str, ...], inputs: tuple[str, ...]) -> None:
+    """Reject an output path that is another path flag's file; flags go by ``args`` name."""
+    given = [dest for dest in (*outputs, *inputs) if getattr(args, dest)]
+    paths = {dest: Path(getattr(args, dest)).resolve() for dest in given}
+    for (dest, path), (other, other_path) in itertools.combinations(paths.items(), 2):
+        if dest in outputs and path == other_path:  # outputs come first in each pair
+            raise ValueError(f"--{dest} and --{other} name the same file {path}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_distinct(args, ("out",), ("cube", "apertures"))
     check_seed(args.seed, "--seed")
     cube = fileio.read_cube(args.cube)
     apertures = fileio.read_apertures(args.apertures)
@@ -131,6 +142,7 @@ def _solver_config(args):
 
 
 def _cmd_reconstruct(args) -> int:
+    _check_distinct(args, ("out", "trace"), ("measurements", "apertures", "truth"))
     config = _solver_config(args)
     _check_writable(args.out)
     _check_writable(args.trace)
@@ -172,6 +184,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_distinct(args, ("report",), ("truth", "estimate"))
     truth = fileio.read_cube(args.truth)
     estimate = fileio.read_cube(args.estimate)
     band_psnr = per_band_psnr(truth.as_array(), estimate.as_array(), args.peak)
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["amp", "fista"], default="amp")
     p.add_argument("--alpha", type=float, default=None,
                    help=f"AMP damping factor in (0, 1] (default {DEFAULT_ALPHA})")
-    p.add_argument("--iters", type=int, default=400)
+    p.add_argument("--iters", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="l1 regularization weight (required for fista, rejected for amp)")
     p.add_argument("--wavelet", choices=["haar", "db4"], default="haar")

@@ -19,12 +19,15 @@ from typing import Optional
 
 import numpy as np
 
+from .amp import DEFAULT_MAX_ITER
 from .cubes import flat_vector
 from .errors import check_finite
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
-from .metrics import Trace, avg_psnr, reference_cube  # noqa: F401
+from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
 from .transforms import SparsifyingTransform
+
+POWER_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class L1Config:
     """Baseline settings; ``step=None`` selects 1/||H||^2 via the power method."""
 
     lam: float
-    max_iter: int = 400
+    max_iter: int = DEFAULT_MAX_ITER
     step: Optional[float] = None
 
     def __post_init__(self):
@@ -62,19 +65,14 @@ def soft_threshold(theta: np.ndarray, tau: float) -> np.ndarray:
     return np.copysign(out, theta, out=out)
 
 
-def operator_norm_squared(model: CassiModel, iters: int = 50, seed: int = 0) -> float:
+def operator_norm_squared(model: CassiModel) -> float:
     """||H||^2, the largest eigenvalue of H^T H, by power iteration.
 
-    The returned Rayleigh quotient is nondecreasing in ``iters`` because
-    H^T H is positive semidefinite.
+    Returns the Rayleigh quotient after ``POWER_ITERS`` steps from a seed-0 start.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(model.n)
+    v = np.random.default_rng(0).standard_normal(model.n)
     v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = adjoint_apply(model, forward_apply(model, v))
         est = float(v @ w)
         norm_w = float(np.linalg.norm(w))
@@ -106,7 +104,8 @@ def fista_run(
     """
     g = flat_vector(g, model.m, "measurements")
     step = config.step if config.step is not None else _lipschitz_step(model)
-    ref = reference_cube(truth, (model.rows, model.cols, model.bands))
+    shape = (model.rows, model.cols, model.bands)
+    trace = Trace.for_solver(truth, shape, "objective", "residual_norm")
 
     # H x and H y are carried by linearity, so each iteration applies H,
     # H^T, Psi and Psi^T once; x = 0 gives H x = 0 and the objective 0.5*g.g
@@ -117,7 +116,6 @@ def fista_run(
     resid_x = g
     fx = 0.5 * float(g @ g)
     t_mom = 1.0
-    trace = Trace.for_solver(ref, "objective", "residual_norm")
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
         # may overflow to inf near divergence; the monotone safeguard copes
@@ -141,7 +139,7 @@ def fista_run(
             hy = hx_new + a * (hz - hx_new) + b * (hx_new - hx)
         x, hx, resid_x, fx, t_mom = x_new, hx_new, resid_new, fx_new, t_next
         trace.append_iteration(
-            start, x, ref, objective=fx, residual_norm=float(np.linalg.norm(resid_x))
+            start, x, objective=fx, residual_norm=float(np.linalg.norm(resid_x))
         )
     return x, trace
 
@@ -151,7 +149,7 @@ def sweep_lambda(
     model: CassiModel,
     transform: SparsifyingTransform,
     lambdas: list[float],
-    max_iter: int = 400,
+    max_iter: int = DEFAULT_MAX_ITER,
     truth: Optional[np.ndarray] = None,
 ) -> list[tuple[float, np.ndarray, Trace]]:
     """Run the baseline once per regularization weight in ``lambdas``.

@@ -87,16 +87,9 @@ class PsnrSummary(NamedTuple):
         return cls(float(band_psnr[finite].mean()), n_inf)
 
 
-def avg_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0) -> PsnrSummary:
-    """Mean per-band PSNR; infinite bands are excluded and counted."""
-    return PsnrSummary.from_bands(per_band_psnr(ref_cube, est_cube, peak))
-
-
-def reference_cube(
-    truth: Optional[np.ndarray], shape: tuple[int, int, int]
-) -> Optional[np.ndarray]:
-    """A vectorized reference cube as an (M, N, L) array; None passes through."""
-    return None if truth is None else cube_view(truth, shape, "truth values")
+def avg_psnr(ref_cube: np.ndarray, est_cube: np.ndarray) -> PsnrSummary:
+    """Mean per-band PSNR at peak 1.0; infinite bands are excluded and counted."""
+    return PsnrSummary.from_bands(per_band_psnr(ref_cube, est_cube))
 
 
 class Trace:
@@ -110,6 +103,7 @@ class Trace:
 
     def __init__(self, *names: str):
         self.columns: dict[str, list[float]] = {name: [] for name in names}
+        self.truth: Optional[np.ndarray] = None
 
     def __getattr__(self, name: str) -> list[float]:
         try:
@@ -121,10 +115,16 @@ class Trace:
         return max(map(len, self.columns.values()), default=0)
 
     @classmethod
-    def for_solver(cls, truth: Optional[np.ndarray], *names: str) -> "Trace":
-        """A solver's columns ``names``, then ``psnr`` when ``truth`` is given, then ``wall_ms``."""
-        psnr = ("psnr",) if truth is not None else ()
-        return cls(*names, *psnr, "wall_ms")
+    def for_solver(cls, truth: Optional[np.ndarray], shape: tuple[int, int, int], *names: str) -> "Trace":
+        """A solver's columns ``names``, then ``psnr`` when ``truth`` is given, then ``wall_ms``.
+
+        The flat ``truth`` is checked once and kept as a ``shape`` view to score rows against.
+        """
+        if truth is None:
+            return cls(*names, "wall_ms")
+        trace = cls(*names, "psnr", "wall_ms")
+        trace.truth = cube_view(truth, shape, "truth values")
+        return trace
 
     def append(self, **row: float) -> None:
         """Append one row; it must name exactly the trace's columns, in any order."""
@@ -135,18 +135,16 @@ class Trace:
         for name, value in row.items():
             self.columns[name].append(value)
 
-    def append_iteration(
-        self, start: float, estimate: np.ndarray, truth: Optional[np.ndarray], **row: float
-    ) -> None:
+    def append_iteration(self, start: float, estimate: np.ndarray, **row: float) -> None:
         """Append one solver row in the :meth:`for_solver` column order.
 
-        ``psnr`` compares the flat ``estimate`` with the (M, N, L) ``truth``
-        when one is given; ``wall_ms`` is the time since ``start``, a
+        ``psnr`` compares the flat ``estimate`` with the trace's ``truth``
+        when it holds one; ``wall_ms`` is the time since ``start``, a
         ``time.perf_counter()`` reading.
         """
-        if truth is not None:
-            estimate = cube_view(estimate, truth.shape, "estimate values")
-            row["psnr"] = avg_psnr(truth, estimate).value
+        if self.truth is not None:
+            estimate = cube_view(estimate, self.truth.shape, "estimate values")
+            row["psnr"] = avg_psnr(self.truth, estimate).value
         self.append(**row, wall_ms=(time.perf_counter() - start) * 1e3)
 
     def to_csv(self) -> str:

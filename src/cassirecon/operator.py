@@ -176,17 +176,17 @@ def adjoint_apply(model: CassiModel, g: np.ndarray) -> np.ndarray:
     return _adjoint(model, cube_view(g, shape, "measurements")).reshape(-1, order="F")
 
 
-def materialize(model: CassiModel, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+def materialize(model: CassiModel) -> np.ndarray:
     """Dense (m, n) operator matrix, built column-by-column from basis vectors.
 
     Intended for small verification instances; refuses anything above
-    ``cap`` entries so production-sized systems cannot be materialized by
-    accident.
+    ``MATERIALIZE_CAP`` entries, before allocating, so production-sized
+    systems cannot be materialized by accident.
     """
     m, n = model.m, model.n
-    if m * n > cap:
+    if m * n > MATERIALIZE_CAP:
         raise ValueError(
-            f"refusing to materialize a {m}x{n} matrix ({m * n} entries > cap {cap})"
+            f"refusing to materialize a {m}x{n} matrix ({m * n} entries > cap {MATERIALIZE_CAP})"
         )
     H = np.empty((m, n), dtype=np.float64)
     e = np.zeros(n, dtype=np.float64)

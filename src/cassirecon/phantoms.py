@@ -14,17 +14,15 @@ from .cubes import HyperCube, check_dims
 PHANTOM_KINDS = ("gaussian-blobs",)
 
 
-def _spectral_profile(rng: np.random.Generator, L: int, max_order: int = 3) -> np.ndarray:
-    """Smooth positive profile: 1 plus a few low-order DCT-II atoms."""
+def _spectral_profile(rng: np.random.Generator, L: int) -> np.ndarray:
+    """Smooth positive profile: 1 plus the DCT-II atoms of orders 1 to 3 (fewer when L < 4)."""
     prof = np.ones(L)
-    orders = range(1, min(max_order, L - 1) + 1)
-    if not orders:
-        return prof
-    amps = rng.uniform(-0.8, 0.8, size=len(list(orders)))
+    # L = 1 draws no amplitude: a size-0 draw leaves the generator alone
+    amps = rng.uniform(-0.8, 0.8, size=min(3, L - 1))
     if np.abs(amps).sum() > 0.9:
         amps *= 0.9 / np.abs(amps).sum()
     l = np.arange(L)
-    for p, a in zip(range(1, len(amps) + 1), amps):
+    for p, a in enumerate(amps, start=1):
         prof += a * np.cos(np.pi * (2 * l + 1) * p / (2 * L))
     return prof
 

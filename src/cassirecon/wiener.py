@@ -20,7 +20,7 @@ import numpy as np
 
 from .cubes import band_chunks, cube_view, flat_vector
 from .errors import DimensionError
-from .transforms import SparsifyingTransform, SubbandMap
+from .transforms import SparsifyingTransform, SubbandMap, subband_map
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ def _group_gains(stats: SubbandStats, sigma2: float) -> np.ndarray:
     return gains
 
 
-def _shrink(
-    stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: Optional[np.ndarray] = None
-) -> float:
-    """Mean per-coefficient gain; also shrinks ``theta`` in place when given.
+def _shrink(stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: np.ndarray) -> float:
+    """Shrink ``theta`` in place; returns the mean per-coefficient gain.
 
     The cube is walked a band chunk at a time. Each group's gain and mean
     are filled into its block of two reused chunk-sized buffers, and the
@@ -102,26 +100,24 @@ def _shrink(
     M, N, L = smap.shape
     gains = _group_gains(stats, sigma2).reshape(-1, L, order="F")
     means = stats.mean.reshape(-1, L, order="F")
-    cube = None if theta is None else cube_view(theta, smap.shape, "coefficients")
+    cube = cube_view(theta, smap.shape, "coefficients")
     chunks = band_chunks(M, N, L)
     width = chunks[0][1]
     total = np.empty(1 + M * N * width)
     total[0] = 0.0
-    if cube is not None:
-        mu_buf = np.empty((M, N, width), order="F")
+    mu_buf = np.empty((M, N, width), order="F")
     for a, b in chunks:
         size = M * N * (b - a)
         gain = total[1 : 1 + size].reshape((M, N, b - a), order="F")
         for s, rc in enumerate(smap.blocks):
             gain[rc] = gains[s, a:b]
-        if cube is not None:
-            mu = mu_buf[:, :, : b - a]
-            for s, rc in enumerate(smap.blocks):
-                mu[rc] = means[s, a:b]
-            chunk = cube[:, :, a:b]
-            chunk -= mu
-            chunk *= gain
-            chunk += mu
+        mu = mu_buf[:, :, : b - a]
+        for s, rc in enumerate(smap.blocks):
+            mu[rc] = means[s, a:b]
+        chunk = cube[:, :, a:b]
+        chunk -= mu
+        chunk *= gain
+        chunk += mu
         np.add.accumulate(total[: 1 + size], out=total[: 1 + size])
         total[0] = total[size]
     return float(total[0]) / smap.n
@@ -144,9 +140,9 @@ def shrink_derivative_mean(stats: SubbandStats, sigma2: float, smap: SubbandMap)
     """Average shrinkage gain over all coefficients; always in [0, 1].
 
     This equals the mean derivative of the shrinkage map and feeds the AMP
-    residual correction term.
+    residual correction term; the shrink runs on a zero cube to compute it.
     """
-    return _shrink(stats, sigma2, smap)
+    return _shrink(stats, sigma2, smap, np.zeros(smap.n))
 
 
 def denoise_cube(
@@ -162,11 +158,11 @@ def denoise_cube(
     fresh array. The estimate is fresh, or written into ``out`` (see
     ``SparsifyingTransform.inverse``); ``q`` is read only by Psi, so
     ``out=q`` is allowed and saves a cube. ``q`` is left alone otherwise.
-    ``smap`` must describe the transform's coefficients: its shape and its
-    ``3 * levels + 1`` blocks per band.
+    ``smap`` must be the transform's own map, ``subband_map`` of its layout
+    and levels.
     """
     layout = (transform.rows, transform.cols, transform.bands)
-    if smap.shape != layout or len(smap.blocks) != 3 * transform.levels + 1:
+    if smap != subband_map(*layout, transform.levels):
         raise DimensionError(
             f"subband map of shape {smap.shape} with {len(smap.blocks)} blocks per band "
             f"does not fit a {layout} transform at {transform.levels} levels"

@@ -127,6 +127,30 @@ def test_missing_file_exit_3(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["simulate", "--cube", "{dir}/cube.hsc", "--apertures", "ap.hsa", "--out", "cube.hsc"],
+         ("--out", "--cube")),
+        (["reconstruct", "--measurements", "meas.hsm", "--apertures", "ap.hsa",
+          "--out", "rec.hsc", "--trace", "{dir}/rec.hsc"], ("--out", "--trace")),
+        (["eval", "--truth", "cube.hsc", "--estimate", "cube.hsc", "--report", "{dir}/cube.hsc"],
+         ("--report", "--truth")),
+    ],
+    ids=["simulate-out-is-cube", "reconstruct-out-is-trace", "eval-report-is-truth"],
+)
+def test_output_path_naming_another_path_exit_2_before_touching_files(
+    workdir, capsys, monkeypatch, argv, flags
+):
+    # one spelling relative to the working directory, one absolute
+    monkeypatch.chdir(workdir)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    code = run_cli(*(a.format(dir=workdir) for a in argv))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} and {flags[1]} name the same file")
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
 def test_reconstruct_unwritable_output_exit_3_before_reading(workdir, capsys, monkeypatch, flag):
     def unexpected_read(path):

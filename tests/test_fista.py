@@ -144,22 +144,15 @@ def test_power_method_permutation_embedding():
         DispersionWeights(0.0, 1.0, 0.0),
         bands=1,
     )
-    assert operator_norm_squared(model, iters=30, seed=0) == pytest.approx(1.0, rel=1e-10)
+    assert operator_norm_squared(model) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_power_method_close_to_dense_norm():
     model = small_model()
     H = materialize(model)
     dense = np.linalg.norm(H, 2) ** 2
-    est = operator_norm_squared(model, iters=100, seed=0)
+    est = operator_norm_squared(model)
     assert abs(est - dense) <= 0.01 * dense
-
-
-def test_power_method_rayleigh_monotone():
-    model = small_model(seed=3)
-    estimates = [operator_norm_squared(model, iters=k, seed=5) for k in range(1, 15)]
-    for a, b in zip(estimates, estimates[1:]):
-        assert b >= a - 1e-12
 
 
 def test_large_lambda_drives_estimate_to_zero():

@@ -223,9 +223,10 @@ def test_normalized_backprojection_unbiased_for_embedding():
 
 
 def test_materialize_cap():
-    model = make_model(8, 8, 4, 2)
-    with pytest.raises(ValueError):
-        materialize(model, cap=1000)
+    # about 1.1e9 entries: refused before the matrix is allocated
+    model = make_model(64, 64, 24, 2)
+    with pytest.raises(ValueError, match="refusing to materialize"):
+        materialize(model)
 
 
 def test_generate_apertures_complementary_pairs():
