@@ -62,6 +62,16 @@ def test_stats_pair_example():
     assert stats.var[0] == 1.0
 
 
+def test_stats_match_scalar_reference():
+    rng = np.random.default_rng(0)
+    smap = subband_map(8, 8, 3, 2)
+    theta = rng.standard_normal(smap.labels.size)
+    stats = estimate_stats(theta, smap)
+    means, variances, _, _ = scalar_reference(theta, smap.labels, smap.n_groups, 0.1)
+    assert np.abs(stats.mean - means).max() <= 1e-12
+    assert np.abs(stats.var - variances).max() <= 1e-12
+
+
 def test_shrink_direct_substitution():
     # nu^2 = 4, sigma^2 = 1, mu = 0, theta = 2 -> (3/4)*2 = 1.5
     smap = subband_map(4, 4, 1, 1)
@@ -232,6 +242,17 @@ def test_denoise_reduces_mse_on_noisy_cube():
         if np.mean((out - clean) ** 2) < np.mean((q - clean) ** 2):
             wins += 1
     assert wins >= 9
+
+
+def test_denoise_derivative_consistent_with_stats():
+    t = SparsifyingTransform(8, 8, 2)
+    smap = subband_map(8, 8, 2, t.levels)
+    rng = np.random.default_rng(7)
+    q = rng.standard_normal(t.n)
+    sigma2 = 0.2
+    _, deriv = denoise_cube(q, sigma2, t, smap)
+    stats = estimate_stats(t.forward(q), smap)
+    assert abs(deriv - shrink_derivative_mean(stats, sigma2, smap)) <= 1e-15
 
 
 def test_denoise_cube_matches_public_shrink_bit_for_bit():
