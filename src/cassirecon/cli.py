@@ -108,6 +108,8 @@ def _write_trace(path: str, trace) -> None:
 def _check_writable(path: str) -> None:
     """Raise the OSError a write to ``path`` would meet, before any work is done."""
     if path:
+        if Path(path).is_dir():
+            raise OSError(f"cannot write {path}: Is a directory")
         try:
             tempfile.TemporaryFile(dir=Path(path).parent).close()
         except OSError as err:

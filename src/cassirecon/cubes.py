@@ -8,9 +8,11 @@ coefficients, measurements) uses one normative flattening:
 
 i.e. Fortran order of ``(M, N, L)`` and ``(M, N+L+1, K)`` arrays, with the
 row index fastest. These formulas are binding for the on-disk formats and
-the materialized measurement matrix alike. :func:`flat_vector` is the one
-length check and :func:`cube_view` the one flat-to-array view that every
-module applies to the vectors it receives.
+the materialized measurement matrix alike; ``tests/test_cubes.py`` checks
+:func:`cube_view`, :func:`measurement_shape` and :meth:`HyperCube.from_array`
+against them. :func:`flat_vector` is the one length check and
+:func:`cube_view` the one flat-to-array view that every module applies to
+the vectors it receives.
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ def check_seed(seed: int, what: str = "seed") -> None:
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"{what} must lie in [0, 2**64), got {seed}")
-
-
-def voxel_flat_index(i: int, j: int, l: int, M: int, N: int) -> int:
-    """Flat position of voxel (i, j, l) in a vectorized M x N x L cube."""
-    return i + M * j + M * N * l
-
-
-def measurement_flat_index(i: int, jp: int, k: int, M: int, N: int, L: int) -> int:
-    """Flat position of detector sample (i, j', k); the FPA is M x (N+L+1)."""
-    width = N + L + 1
-    return i + M * jp + M * width * k
 
 
 def measurement_shape(M: int, N: int, L: int, K: int) -> tuple[int, int, int]:

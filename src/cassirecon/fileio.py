@@ -143,6 +143,7 @@ def read_measurements(path: PathLike) -> MeasurementSet:
     )
 
 
+@_names_file
 def write_apertures(path: PathLike, apertures: CodedApertureSet) -> None:
     header = _APERTURE_HEADER.pack(
         APERTURE_MAGIC, apertures.shots, apertures.rows, apertures.cols

@@ -3,8 +3,9 @@
 Runs the core numerical invariants on one fixed 8x8x4, K=2 instance:
 measurement-count arithmetic, the operator adjoint identity, equivalence of
 the matrix-free operator with its materialized matrix, transform round
-trips and energy preservation, and a scalar-reference check of the Wiener
-shrinkage. All checks must pass for a healthy build.
+trips and energy preservation, and a bit-for-bit check of the Wiener
+statistics and shrinkage against :func:`scalar_wiener_reference`, the
+scalar oracle the tests share. All checks must pass for a healthy build.
 """
 
 from __future__ import annotations
@@ -33,29 +34,27 @@ class CheckResult:
     detail: str
 
 
-def _scalar_wiener_reference(theta, labels, n_groups, sigma2):
-    """Straight-line per-coefficient transcription of the shrinkage rule."""
+def scalar_wiener_reference(theta, labels, n_groups, sigma2):
+    """Group means, variances, shrunk vector and mean gain, one coefficient at a time."""
     sums = [0.0] * n_groups
     counts = [0] * n_groups
-    for i in range(theta.size):
+    for i in range(len(theta)):
         sums[labels[i]] += theta[i]
         counts[labels[i]] += 1
     means = [sums[g] / counts[g] for g in range(n_groups)]
     sq = [0.0] * n_groups
-    for i in range(theta.size):
+    for i in range(len(theta)):
         d = theta[i] - means[labels[i]]
         sq[labels[i]] += d * d
     variances = [sq[g] / counts[g] for g in range(n_groups)]
-    gains = [
-        (max(0.0, v - sigma2) / v) if v > 0.0 else 0.0 for v in variances
-    ]
-    out = np.empty_like(theta)
+    gains = [max(0.0, v - sigma2) / v if v > 0.0 else 0.0 for v in variances]
+    out = np.empty(len(theta))
     acc = 0.0
-    for i in range(theta.size):
-        gid = labels[i]
-        out[i] = gains[gid] * (theta[i] - means[gid]) + means[gid]
-        acc += gains[gid]
-    return out, acc / theta.size
+    for i in range(len(theta)):
+        g = labels[i]
+        out[i] = gains[g] * (theta[i] - means[g]) + means[g]
+        acc += gains[g]
+    return np.array(means), np.array(variances), out, acc / len(theta)
 
 
 def run_selfcheck() -> list[CheckResult]:
@@ -104,8 +103,13 @@ def run_selfcheck() -> list[CheckResult]:
     stats = estimate_stats(theta, smap)
     got = wiener_shrink(theta, stats, sigma2, smap)
     got_d = shrink_derivative_mean(stats, sigma2, smap)
-    want, want_d = _scalar_wiener_reference(theta, smap.labels, smap.n_groups, sigma2)
-    wiener_ok = bool(np.array_equal(got, want)) and got_d == want_d
+    means, variances, want, want_d = scalar_wiener_reference(
+        theta, smap.labels, smap.n_groups, sigma2
+    )
+    wiener_ok = (
+        np.array_equal(stats.mean, means) and np.array_equal(stats.var, variances)
+        and np.array_equal(got, want) and got_d == want_d
+    )
     results.append(CheckResult("wiener shrinkage matches scalar reference", wiener_ok, "bit-for-bit"))
 
     return results

@@ -180,11 +180,6 @@ def dct_spectral_forward(cube: np.ndarray) -> np.ndarray:
     return _spectral(cube, _dct_matrix(np.shape(cube)[-1]))
 
 
-def dct_spectral_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse (transpose) of :func:`dct_spectral_forward`."""
-    return _spectral(coeffs, _dct_matrix(np.shape(coeffs)[-1]).T)
-
-
 def _out_cube(out: Optional[np.ndarray], source: np.ndarray) -> Optional[np.ndarray]:
     """``out`` viewed as a cube of ``source``'s shape, once it is checked usable."""
     if out is None:

@@ -170,6 +170,26 @@ def test_reconstruct_unwritable_output_exit_3_before_reading(workdir, capsys, mo
     assert sorted(workdir.iterdir()) == before
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_reconstruct_output_is_directory_exit_3_before_reading(workdir, capsys, monkeypatch, flag):
+    def unexpected_read(path):
+        raise AssertionError(f"read {path} before checking the output paths")
+
+    monkeypatch.setattr("cassirecon.fileio.read_measurements", unexpected_read)
+    paths = {"--out": workdir / "rec.hsc", "--trace": workdir / "trace.csv"}
+    paths[flag] = workdir / "d"
+    paths[flag].mkdir()
+    code = run_cli(
+        "reconstruct", "--measurements", workdir / "meas.hsm",
+        "--apertures", workdir / "ap.hsa", "--iters", 2,
+        "--out", paths["--out"], "--trace", paths["--trace"],
+    )
+    assert code == 3
+    assert f"cannot write {paths[flag]}: " in capsys.readouterr().err
+    assert not paths["--out"].is_file()
+    assert list(paths[flag].iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "solver_args, flag",
     [

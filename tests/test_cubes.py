@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from cassirecon.cubes import (
     HyperCube,
     MeasurementSet,
     band_chunks,
-    measurement_flat_index,
-    voxel_flat_index,
+    cube_view,
+    measurement_shape,
 )
 from cassirecon.errors import DimensionError
 
@@ -50,20 +52,19 @@ def test_round_trips_random_dims():
 
 
 def test_flat_index_round_trip():
-    # visited row fastest, then column, then band/shot, the indices count up
+    # the module docstring's formulas: voxel (i, j, l) at i + M*j + M*N*l,
+    # detector sample (i, j', k) at i + M*j' + M*(N+L+1)*k
     M, N, L, K = 3, 5, 4, 2
-    voxels = [
-        voxel_flat_index(i, j, l, M, N)
-        for l in range(L) for j in range(N) for i in range(M)
-    ]
-    assert voxels == list(range(M * N * L))
+    cube = cube_view(np.arange(M * N * L), (M, N, L), "voxels")
+    i, j, l = np.indices((M, N, L))
+    assert np.array_equal(cube, i + M * j + M * N * l)
+    assert np.array_equal(HyperCube.from_array(cube).values, np.arange(M * N * L))
 
-    width = N + L + 1
-    samples = [
-        measurement_flat_index(i, jp, k, M, N, L)
-        for k in range(K) for jp in range(width) for i in range(M)
-    ]
-    assert samples == list(range(K * M * width))
+    shape = measurement_shape(M, N, L, K)
+    assert shape == (M, N + L + 1, K)
+    frames = cube_view(np.arange(math.prod(shape)), shape, "samples")
+    i, jp, k = np.indices(shape)
+    assert np.array_equal(frames, i + M * jp + M * (N + L + 1) * k)
 
 
 def test_flat_index_is_fortran_order():
@@ -72,7 +73,8 @@ def test_flat_index_is_fortran_order():
     cube = HyperCube.from_array(arr)
     for _ in range(10):
         i, j, l = rng.integers(0, (4, 3, 2))
-        assert cube.values[voxel_flat_index(i, j, l, 4, 3)] == arr[i, j, l]
+        assert cube.values[i + 4 * j + 4 * 3 * l] == arr[i, j, l]
+    assert np.array_equal(cube_view(cube.values, (4, 3, 2), "voxels"), arr)
 
 
 def test_cube_invariants():

@@ -93,6 +93,19 @@ def test_writers_reject_values_beyond_float32(tmp_path, write):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("write", ["cube", "measurements", "apertures"])
+def test_writer_errors_start_with_the_path(tmp_path, write):
+    path = str(tmp_path / "bad\0name")
+    with pytest.raises(ValueError) as exc:
+        if write == "cube":
+            fileio.write_cube(path, HyperCube(1, 1, 1, [0.0]))
+        elif write == "measurements":
+            fileio.write_measurements(path, MeasurementSet(1, 1, 1, 1, np.zeros(3)))
+        else:
+            fileio.write_apertures(path, generate_apertures(2, 2, 2, "complementary", seed=0))
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_apertures_round_trip_and_layout(tmp_path):
     apertures = generate_apertures(4, 5, 2, "complementary", seed=3)
     p1 = tmp_path / "a1.hsa"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cassirecon.cubes import measurement_flat_index, voxel_flat_index
 from cassirecon.errors import DimensionError
 from cassirecon.operator import (
     CassiModel,
@@ -18,6 +17,16 @@ from cassirecon.operator import (
 )
 
 W = DispersionWeights(0.25, 0.5, 0.25)
+
+
+def _voxel(i, j, l, M, N):
+    """Flat position of voxel (i, j, l): Fortran order of the (M, N, L) cube."""
+    return i + M * j + M * N * l
+
+
+def _sample(i, jp, k, M, N, L):
+    """Flat position of detector sample (i, j', k): Fortran order of (M, N+L+1, K)."""
+    return i + M * jp + M * (N + L + 1) * k
 
 
 def make_model(M, N, L, K, scheme="complementary", seed=1, weights=W):
@@ -50,10 +59,10 @@ def test_forward_unit_voxel_spreads_three_ways():
     model = all_ones_model(M, N, L)
     i0, j0, l0 = 2, 1, 2
     f = np.zeros(model.n)
-    f[voxel_flat_index(i0, j0, l0, M, N)] = 1.0
+    f[_voxel(i0, j0, l0, M, N)] = 1.0
     g = forward_apply(model, f)
     nz = np.nonzero(g)[0]
-    expected = [measurement_flat_index(i0, j0 + l0 + d, 0, M, N, L) for d in range(3)]
+    expected = [_sample(i0, j0 + l0 + d, 0, M, N, L) for d in range(3)]
     assert list(nz) == expected
     assert list(g[nz]) == [0.25, 0.5, 0.25]
 
@@ -87,9 +96,9 @@ def test_materialize_matches_definition_with_asymmetric_weights():
         for i in range(M):
             for j in range(N):
                 for l in range(L):
-                    col = voxel_flat_index(i, j, l, M, N)
+                    col = _voxel(i, j, l, M, N)
                     for d, w in enumerate(weights.as_tuple()):
-                        row = measurement_flat_index(i, j + l + d, k, M, N, L)
+                        row = _sample(i, j + l + d, k, M, N, L)
                         H[row, col] += w * masks[k, i, j]
     assert np.abs(materialize(model) - H).max() <= 1e-15
 
@@ -99,15 +108,15 @@ def test_adjoint_unit_measurement():
     model = all_ones_model(M, N, L)
     i0, jp0 = 1, 4
     g = np.zeros(model.m)
-    g[measurement_flat_index(i0, jp0, 0, M, N, L)] = 1.0
+    g[_sample(i0, jp0, 0, M, N, L)] = 1.0
     f = adjoint_apply(model, g)
     expected = {}
     for l in range(L):
         for d, w in enumerate(W.as_tuple()):
             j = jp0 - l - d
             if 0 <= j < N:
-                expected[voxel_flat_index(i0, j, l, M, N)] = (
-                    expected.get(voxel_flat_index(i0, j, l, M, N), 0.0) + w
+                expected[_voxel(i0, j, l, M, N)] = (
+                    expected.get(_voxel(i0, j, l, M, N), 0.0) + w
                 )
     nz = np.nonzero(f)[0]
     assert set(nz) == set(expected)

@@ -5,6 +5,7 @@ import pytest
 
 from cassirecon.cubes import band_chunks
 from cassirecon.errors import DimensionError
+from cassirecon.selfcheck import scalar_wiener_reference
 from cassirecon.transforms import SparsifyingTransform, default_levels, subband_map
 from cassirecon.wiener import (
     denoise_cube,
@@ -12,29 +13,6 @@ from cassirecon.wiener import (
     shrink_derivative_mean,
     wiener_shrink,
 )
-
-
-def scalar_reference(theta, labels, n_groups, sigma2):
-    """Independent straight-line transcription of the shrinkage rule."""
-    sums = [0.0] * n_groups
-    counts = [0] * n_groups
-    for i in range(len(theta)):
-        sums[labels[i]] += theta[i]
-        counts[labels[i]] += 1
-    means = [sums[g] / counts[g] for g in range(n_groups)]
-    sq = [0.0] * n_groups
-    for i in range(len(theta)):
-        d = theta[i] - means[labels[i]]
-        sq[labels[i]] += d * d
-    variances = [sq[g] / counts[g] for g in range(n_groups)]
-    gains = [max(0.0, v - sigma2) / v if v > 0.0 else 0.0 for v in variances]
-    out = np.empty(len(theta))
-    acc = 0.0
-    for i in range(len(theta)):
-        g = labels[i]
-        out[i] = gains[g] * (theta[i] - means[g]) + means[g]
-        acc += gains[g]
-    return np.array(means), np.array(variances), out, acc / len(theta)
 
 
 def small_map():
@@ -67,7 +45,7 @@ def test_stats_match_scalar_reference():
     smap = subband_map(8, 8, 3, 2)
     theta = rng.standard_normal(smap.labels.size)
     stats = estimate_stats(theta, smap)
-    means, variances, _, _ = scalar_reference(theta, smap.labels, smap.n_groups, 0.1)
+    means, variances, _, _ = scalar_wiener_reference(theta, smap.labels, smap.n_groups, 0.1)
     assert np.abs(stats.mean - means).max() <= 1e-12
     assert np.abs(stats.var - variances).max() <= 1e-12
 
@@ -121,7 +99,7 @@ def test_shrink_bit_for_bit_against_scalar_reference():
             stats = estimate_stats(theta, smap)
             got = wiener_shrink(theta, stats, sigma2, smap)
             got_d = shrink_derivative_mean(stats, sigma2, smap)
-            means, variances, want, want_d = scalar_reference(
+            means, variances, want, want_d = scalar_wiener_reference(
                 theta, smap.labels, smap.n_groups, sigma2
             )
             assert np.array_equal(stats.mean, means) and np.array_equal(stats.var, variances)
@@ -277,7 +255,7 @@ def test_stats_and_shrink_across_band_chunks_match_scalar_reference(multi_chunk_
     theta = np.random.default_rng(12).standard_normal(smap.n)
     sigma2 = 0.8
     stats = estimate_stats(theta, smap)
-    means, variances, want, want_d = scalar_reference(
+    means, variances, want, want_d = scalar_wiener_reference(
         theta.tolist(), smap.labels.tolist(), smap.n_groups, sigma2
     )
     assert np.array_equal(stats.mean, means) and np.array_equal(stats.var, variances)
