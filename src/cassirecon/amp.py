@@ -30,7 +30,7 @@ from .errors import DimensionError, check_finite
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
-from .transforms import SparsifyingTransform, SubbandMap, check_levels, subband_map
+from .transforms import SparsifyingTransform, SubbandMap
 from .wiener import denoise_cube
 
 DEFAULT_ALPHA = 0.2
@@ -47,15 +47,12 @@ class AmpConfig:
     alpha: float = DEFAULT_ALPHA
     max_iter: int = DEFAULT_MAX_ITER
     wavelet: str = "haar"
-    levels: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"damping factor must be in (0, 1], got {self.alpha}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.levels is not None:
-            check_levels(self.levels)
 
 
 @dataclass(frozen=True)
@@ -188,10 +185,9 @@ def run_amp(
     """
     g = flat_vector(g, model.m, "measurements")
     shape = (model.rows, model.cols, model.bands)
-    transform = SparsifyingTransform(*shape, wavelet=config.wavelet, levels=config.levels)
-    smap = subband_map(*shape, transform.levels)
+    transform = SparsifyingTransform(*shape, wavelet=config.wavelet)
     trace = Trace.for_solver(truth, shape, "sigma2", "residual_norm", "derivative_mean")
     state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
     for _ in range(config.max_iter):
-        state = amp_iteration(state, g, model, transform, smap, config.alpha, trace)
+        state = amp_iteration(state, g, model, transform, transform.subbands, config.alpha, trace)
     return state.f, trace

@@ -26,7 +26,7 @@ from .fista import L1Config, fista_run
 from .metrics import PsnrSummary, add_noise, per_band_psnr
 from .operator import CassiModel, forward_apply, generate_apertures
 from .selfcheck import format_results, run_selfcheck
-from .transforms import SparsifyingTransform, check_levels
+from .transforms import SparsifyingTransform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -127,18 +127,14 @@ def _solver_config(args):
     if args.solver == "fista" and args.lam is None:
         raise ValueError("--lambda is required for the fista solver")
     try:
-        if args.levels is not None:
-            check_levels(args.levels)
         if args.solver == "amp":
             return AmpConfig(
                 alpha=DEFAULT_ALPHA if args.alpha is None else args.alpha,
-                max_iter=args.iters, wavelet=args.wavelet, levels=args.levels,
+                max_iter=args.iters, wavelet=args.wavelet,
             )
         return L1Config(lam=args.lam, max_iter=args.iters)
     except ValueError as err:
-        given = {
-            "--alpha": args.alpha, "--lambda": args.lam, "--iters": args.iters, "--levels": args.levels,
-        }
+        given = {"--alpha": args.alpha, "--lambda": args.lam, "--iters": args.iters}
         flags = " ".join(f"{flag} {value}" for flag, value in given.items() if value is not None)
         raise ValueError(f"{flags}: {err}") from None
 
@@ -164,10 +160,7 @@ def _cmd_reconstruct(args) -> int:
         if args.solver == "amp":
             f_hat, trace = run_amp(ms.values, model, config, truth=truth)
         else:
-            transform = SparsifyingTransform(
-                model.rows, model.cols, model.bands,
-                wavelet=args.wavelet, levels=args.levels,
-            )
+            transform = SparsifyingTransform(model.rows, model.cols, model.bands, wavelet=args.wavelet)
             f_hat, trace = fista_run(ms.values, model, transform, config, truth=truth)
     except DivergenceError as err:
         if err.trace is not None:
@@ -248,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="l1 regularization weight (required for fista, rejected for amp)")
     p.add_argument("--wavelet", choices=["haar", "db4"], default="haar")
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="reference cube for per-iteration PSNR")
     p.add_argument("--trace", default=None, help="per-iteration CSV trace path")

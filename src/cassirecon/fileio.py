@@ -50,19 +50,25 @@ def atomic_write(path: PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` through a private temp file and a rename.
 
     Every call gets its own temp file, so concurrent writers to one path
-    never share one; readers see one complete payload or the other.
+    never share one; readers see one complete payload or the other. A
+    failed write leaves no temp file and raises ``OSError("cannot write
+    <path>: <reason>")``, which names ``path``, not the temp file.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as err:
+        if tmp is not None:
+            os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise OSError(f"cannot write {path}: {err.strerror}") from None
         raise
 
 

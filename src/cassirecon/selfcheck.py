@@ -98,7 +98,7 @@ def run_selfcheck() -> list[CheckResult]:
     results.append(CheckResult("transform round trip", rt <= 1e-12, f"max abs err={rt:.3e}"))
     results.append(CheckResult("transform energy preservation", parseval <= 1e-10, f"rel err={parseval:.3e}"))
 
-    smap = tf.subband_map(M, N, L, transform.levels)
+    smap = transform.subbands
     sigma2 = 0.5 * float(np.var(theta))
     stats = estimate_stats(theta, smap)
     got = wiener_shrink(theta, stats, sigma2, smap)

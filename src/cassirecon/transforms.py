@@ -7,13 +7,14 @@ orthonormal: the inverse is the transpose, which the solver relies on.
 
 Wavelets are periodized filter banks; only orthonormal families are
 offered, since a biorthogonal pair would break inverse == transpose.
-Spatial dims must be divisible by 2**levels (non-dyadic inputs are
-rejected, not padded - crop upstream).
+The transform picks its depth from its spatial dims (:func:`default_levels`);
+both dims must be even (odd inputs are rejected, not padded - crop
+upstream).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -44,7 +45,7 @@ WAVELET_FILTERS = {
 
 
 def default_levels(M: int, N: int) -> int:
-    """Decomposition depth used when none is requested.
+    """Decomposition depth of an (M, N) transform.
 
     Two levels short of log2 of the smaller side (at least 1), clamped to
     the number of times both sides halve evenly.
@@ -52,8 +53,8 @@ def default_levels(M: int, N: int) -> int:
     halvings = min((M & -M).bit_length(), (N & -N).bit_length()) - 1
     if halvings < 1:
         raise DimensionError(
-            f"spatial dims ({M}, {N}) must both be even: no wavelet depth "
-            f"(--levels) fits an odd size; crop the cube"
+            f"spatial dims ({M}, {N}) must both be even: no wavelet level "
+            f"fits an odd size; crop the cube"
         )
     return min(max(1, int(np.log2(min(M, N))) - 2), halvings)
 
@@ -70,14 +71,9 @@ def _filters(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
-def check_levels(levels: int) -> None:
-    """The one decomposition-depth rule: at least one wavelet level."""
+def _check_dyadic(M: int, N: int, levels: int) -> None:
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-
-
-def _check_dyadic(M: int, N: int, levels: int) -> None:
-    check_levels(levels)
     div = 1 << levels
     if M % div != 0 or N % div != 0:
         raise DimensionError(
@@ -204,25 +200,27 @@ class SparsifyingTransform:
     """Per-band 2D wavelet combined with a spectral DCT, as flat-vector maps.
 
     ``forward`` maps a vectorized cube to its coefficient vector;
-    ``inverse`` is the exact transpose. ``levels=None`` picks
-    :func:`default_levels`. Each band's wavelet coefficients use the packed
-    corner layout: the level-J approximation sits in the top-left
-    (M/2^J, N/2^J) block, detail subbands in the other quadrants of each
-    scale (see :class:`SubbandMap`).
+    ``inverse`` is the exact transpose. The depth ``levels`` is
+    :func:`default_levels` of the spatial dims, and ``subbands`` is the
+    :func:`subband_map` of the coefficients at that depth. Each band's
+    wavelet coefficients use the packed corner layout: the level-J
+    approximation sits in the top-left (M/2^J, N/2^J) block, detail
+    subbands in the other quadrants of each scale (see :class:`SubbandMap`).
     """
 
     rows: int
     cols: int
     bands: int
     wavelet: str = "haar"
-    levels: Optional[int] = None
+    levels: int = field(init=False)
+    subbands: SubbandMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_dims(self.rows, self.cols, self.bands)
-        levels = self.levels if self.levels is not None else default_levels(self.rows, self.cols)
-        object.__setattr__(self, "levels", int(levels))
-        _check_dyadic(self.rows, self.cols, self.levels)
+        levels = default_levels(self.rows, self.cols)
         _filters(self.wavelet)  # fail fast on unknown family
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "subbands", subband_map(self.rows, self.cols, self.bands, levels))
 
     @property
     def n(self) -> int:

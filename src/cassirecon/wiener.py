@@ -20,7 +20,7 @@ import numpy as np
 
 from .cubes import band_chunks, cube_view, flat_vector
 from .errors import DimensionError
-from .transforms import SparsifyingTransform, SubbandMap, subband_map
+from .transforms import SparsifyingTransform, SubbandMap
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,10 @@ def denoise_cube(
     fresh array. The estimate is fresh, or written into ``out`` (see
     ``SparsifyingTransform.inverse``); ``q`` is read only by Psi, so
     ``out=q`` is allowed and saves a cube. ``q`` is left alone otherwise.
-    ``smap`` must be the transform's own map, ``subband_map`` of its layout
-    and levels.
+    ``smap`` must be the transform's own map, ``transform.subbands``.
     """
-    layout = (transform.rows, transform.cols, transform.bands)
-    if smap != subband_map(*layout, transform.levels):
+    if smap != transform.subbands:
+        layout = (transform.rows, transform.cols, transform.bands)
         raise DimensionError(
             f"subband map of shape {smap.shape} with {len(smap.blocks)} blocks per band "
             f"does not fit a {layout} transform at {transform.levels} levels"

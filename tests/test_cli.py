@@ -190,6 +190,26 @@ def test_reconstruct_output_is_directory_exit_3_before_reading(workdir, capsys, 
     assert list(paths[flag].iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["aperture", "simulate", "eval"])
+def test_unwritable_output_names_its_path_exit_3(workdir, capsys, command, target):
+    # the error names the flag's path, not the temp file, and no temp file is left
+    if target == "directory":
+        out, reason = workdir / "d", "Is a directory"
+        out.mkdir()
+    else:
+        out, reason = workdir / "nodir" / "r.csv", "No such file or directory"
+    argv = {
+        "aperture": ["--rows", 8, "--cols", 8, "--shots", 2, "--out", out],
+        "simulate": ["--cube", workdir / "cube.hsc", "--apertures", workdir / "ap.hsa", "--out", out],
+        "eval": ["--truth", workdir / "cube.hsc", "--estimate", workdir / "cube.hsc", "--report", out],
+    }[command]
+    before = sorted(workdir.rglob("*"))
+    assert run_cli(command, *argv) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert sorted(workdir.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     "solver_args, flag",
     [
@@ -214,14 +234,16 @@ def test_reconstruct_bad_solver_argument_exit_2_before_reading(tmp_path, capsys,
 @pytest.mark.parametrize(
     "solver_args", [[], ["--solver", "fista", "--lambda", 0.1]], ids=["amp", "fista"]
 )
-def test_reconstruct_levels_below_one_exit_2_before_reading(tmp_path, capsys, solver_args):
-    code = run_cli(
-        "reconstruct", "--measurements", tmp_path / "nope.hsm",
-        "--apertures", tmp_path / "nope.hsa", *solver_args, "--levels", 0,
-        "--out", tmp_path / "rec.hsc", "--trace", tmp_path / "trace.csv",
-    )
-    assert code == 2
-    assert "--levels 0: levels must be >= 1, got 0" in capsys.readouterr().err
+def test_reconstruct_levels_flag_exit_2_before_reading(tmp_path, capsys, solver_args):
+    # the transform picks its own depth: --levels is not a flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "reconstruct", "--measurements", tmp_path / "nope.hsm",
+            "--apertures", tmp_path / "nope.hsa", *solver_args, "--levels", 3,
+            "--out", tmp_path / "rec.hsc", "--trace", tmp_path / "trace.csv",
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --levels 3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -337,7 +359,7 @@ def test_reconstruct_fista_with_truth_trace_header(workdir):
 
 @pytest.mark.parametrize(
     "solver_args",
-    [("--solver", "amp"), ("--solver", "fista", "--lambda", 0.01, "--levels", 1)],
+    [("--solver", "amp"), ("--solver", "fista", "--lambda", 0.01)],
     ids=["amp", "fista"],
 )
 def test_reconstruct_db4_with_truth_trace(tmp_path, solver_args):

@@ -204,7 +204,7 @@ def test_prox_matches_scalar_grid_search():
 def test_prox_minimizes_transform_domain_objective():
     # psi^T(soft(psi f, tau)) minimizes 0.5||x-f||^2 + tau*||psi x||_1;
     # verify no random perturbation does better on a tiny instance
-    t = SparsifyingTransform(2, 2, 2, levels=1)
+    t = SparsifyingTransform(2, 2, 2)
     rng = np.random.default_rng(8)
     f = rng.standard_normal(t.n)
     tau = 0.3

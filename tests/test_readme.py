@@ -1,7 +1,14 @@
-"""Every ```python block of README.md runs as written, in a fresh directory."""
+"""README.md's code runs as written: every ```python block in a fresh
+directory, and every ``cassirecon`` command of a ```sh block through the
+CLI's parser."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from cassirecon.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +19,20 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_cli_commands_parse():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("cassirecon ")
+    ]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

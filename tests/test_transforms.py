@@ -31,23 +31,23 @@ def dct2_reference(x):
     return out
 
 
-def one_band(shape, levels, wavelet):
+def one_band(shape, wavelet):
     """Psi on a single band: its length-1 spectral DCT is the identity."""
-    return SparsifyingTransform(shape[0], shape[1], 1, wavelet, levels)
+    return SparsifyingTransform(shape[0], shape[1], 1, wavelet)
 
 
-def dwt2_forward(a, levels, wavelet="haar"):
-    theta = one_band(a.shape, levels, wavelet).forward(a.reshape(-1, order="F"))
+def dwt2_forward(a, wavelet="haar"):
+    theta = one_band(a.shape, wavelet).forward(a.reshape(-1, order="F"))
     return theta.reshape(a.shape, order="F")
 
 
-def dwt2_inverse(c, levels, wavelet="haar"):
-    x = one_band(c.shape, levels, wavelet).inverse(c.reshape(-1, order="F"))
+def dwt2_inverse(c, wavelet="haar"):
+    x = one_band(c.shape, wavelet).inverse(c.reshape(-1, order="F"))
     return x.reshape(c.shape, order="F")
 
 
 def test_dwt2_constant_2x2_haar():
-    c = dwt2_forward(np.full((2, 2), 3.0), 1, "haar")
+    c = dwt2_forward(np.full((2, 2), 3.0), "haar")
     assert c[0, 0] == pytest.approx(6.0, abs=1e-15)
     assert np.abs(np.delete(c.ravel(), 0)).max() == 0.0
 
@@ -56,24 +56,28 @@ def test_dwt2_constant_2x2_haar():
 def test_dwt2_energy_preserved(wavelet):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, 16))
-    c = dwt2_forward(x, 1, wavelet)
+    c = dwt2_forward(x, wavelet)
     assert abs(np.linalg.norm(c) - np.linalg.norm(x)) <= 1e-10 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("wavelet", ["haar", "db4"])
 @pytest.mark.parametrize("levels", [1, 2, 3])
 def test_dwt2_round_trip(wavelet, levels):
+    # 8x8, 16x16 and 32x32 take depths 1, 2 and 3
+    size = 4 << levels
+    assert one_band((size, size), wavelet).levels == levels
     rng = np.random.default_rng(levels)
-    x = rng.standard_normal((32, 32))
-    back = dwt2_inverse(dwt2_forward(x, levels, wavelet), levels, wavelet)
+    x = rng.standard_normal((size, size))
+    back = dwt2_inverse(dwt2_forward(x, wavelet), wavelet)
     assert np.abs(back - x).max() <= 1e-12
 
 
 def test_dwt2_rejects_non_dyadic():
-    with pytest.raises(DimensionError):
-        dwt2_forward(np.zeros((6, 8)), 2)
-    with pytest.raises(DimensionError):
-        dwt2_inverse(np.zeros((8, 10)), 2)
+    # an odd side halves no times, so no depth fits it
+    with pytest.raises(DimensionError, match="must both be even"):
+        dwt2_forward(np.zeros((9, 8)))
+    with pytest.raises(DimensionError, match="must both be even"):
+        dwt2_inverse(np.zeros((8, 7)))
 
 
 def test_dct_spectral_constant_series():
@@ -134,8 +138,9 @@ def test_psi_inverse_is_adjoint():
 
 
 def test_psi_constant_cube_single_coefficient():
-    # full decimation: the deepest approximation block is a single value
-    t = SparsifyingTransform(8, 8, 4, levels=3)
+    # full decimation: at depth 1 the approximation block of a 2x2 band is a single value
+    t = SparsifyingTransform(2, 2, 4)
+    assert t.levels == 1
     theta = t.forward(np.full(t.n, 2.0))
     nz = np.nonzero(np.abs(theta) > 1e-10)[0]
     assert nz.size == 1
@@ -167,8 +172,11 @@ def test_psi_length_mismatch():
 
 
 def test_non_dyadic_rejected():
+    # 6 halves once: a map two levels deep does not fit it
+    with pytest.raises(DimensionError, match="divisible by 2\\^levels = 4"):
+        subband_map(6, 8, 1, 2)
     with pytest.raises(DimensionError):
-        SparsifyingTransform(12, 8, 2, levels=3)
+        SparsifyingTransform(12, 9, 2)
 
 
 def test_default_levels():
@@ -176,9 +184,18 @@ def test_default_levels():
     assert default_levels(8, 8) == 1
     assert default_levels(2, 2) == 1
     assert default_levels(100, 100) == 2
-    with pytest.raises(DimensionError, match="--levels"):
+    with pytest.raises(DimensionError, match="must both be even"):
         default_levels(9, 8)
     assert SparsifyingTransform(32, 32, 4).levels == 3
+
+
+@pytest.mark.parametrize("M", [2, 6, 16, 64, 100])
+@pytest.mark.parametrize("N", [8, 24, 128])
+@pytest.mark.parametrize("L", [1, 5])
+def test_transform_subbands_are_its_own_map(M, N, L):
+    t = SparsifyingTransform(M, N, L)
+    assert t.levels == default_levels(M, N)
+    assert t.subbands == subband_map(M, N, L, t.levels)
 
 
 def test_subband_map_2x2_singletons():
@@ -267,20 +284,22 @@ def psi_t_oracle(theta, shape, wavelet, levels):
     return out.reshape(-1, order="F")
 
 
-# db4 blocks of 2 and 4 rows are shorter than the filter and wrap more than once;
-# the multi-chunk case (multi_chunk_shape) crosses band-chunk boundaries
+# levels is the depth the size takes. db4 blocks of 2 and 4 rows (the 2x2, 4x4
+# and 4x8 cubes) are shorter than the filter and wrap more than once; the
+# multi-chunk case (multi_chunk_shape) crosses band-chunk boundaries
 @pytest.mark.parametrize("wavelet", ["haar", "db4"])
 @pytest.mark.parametrize(
     "M, N, L, levels",
-    [(8, 8, 1, 3), (16, 8, 1, 2), (16, 16, 1, 1), (32, 16, 1, 3),
-     (8, 8, 4, 3), (16, 8, 5, 2), (32, 32, 8, 2),
-     pytest.param(None, None, None, 3, id="multi-chunk")],
+    [(2, 2, 1, 1), (4, 4, 1, 1), (4, 8, 3, 1), (8, 8, 1, 1), (16, 8, 1, 1), (16, 16, 1, 2),
+     (32, 16, 1, 2), (8, 8, 4, 1), (16, 8, 5, 1), (32, 32, 8, 3), (64, 64, 2, 4),
+     pytest.param(None, None, None, 4, id="multi-chunk")],
 )
 def test_psi_matches_gather_form_oracle(multi_chunk_shape, wavelet, M, N, L, levels):
     if M is None:
         M, N, L = multi_chunk_shape
     rng = np.random.default_rng(M + N + L + levels)
-    t = SparsifyingTransform(M, N, L, wavelet, levels)
+    t = SparsifyingTransform(M, N, L, wavelet)
+    assert t.levels == levels
     x = rng.standard_normal(t.n)
     y = rng.standard_normal(t.n)
     got, want = t.forward(x), psi_oracle(x.reshape((M, N, L), order="F"), wavelet, levels)
@@ -290,7 +309,8 @@ def test_psi_matches_gather_form_oracle(multi_chunk_shape, wavelet, M, N, L, lev
 
 
 def test_psi_inverse_matches_dense_transpose_db4():
-    t = SparsifyingTransform(8, 8, 4, "db4", 3)
+    t = SparsifyingTransform(16, 16, 2, "db4")
+    assert t.levels == 2
     dense = np.stack([t.forward(e) for e in np.eye(t.n)], axis=1)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(t.n)
@@ -303,8 +323,7 @@ def psi_instances(draw):
     N = 1 << draw(st.integers(1, 6))
     L = draw(st.integers(1, 8))
     wavelet = draw(st.sampled_from(["haar", "db4"]))
-    levels = draw(st.integers(1, default_levels(M, N)))
-    return SparsifyingTransform(M, N, L, wavelet, levels), draw(st.integers(0, 2**32 - 1))
+    return SparsifyingTransform(M, N, L, wavelet), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,7 +342,7 @@ def test_psi_across_band_chunks_matches_band_by_band(multi_chunk_shape, wavelet)
     # the chunked wavelet levels must give the same bits in every chunk
     M, N, L = multi_chunk_shape
     t = SparsifyingTransform(M, N, L, wavelet)
-    band = SparsifyingTransform(M, N, 1, wavelet, t.levels)
+    band = SparsifyingTransform(M, N, 1, wavelet)
     rng = np.random.default_rng(11)
     x, y = rng.standard_normal(t.n), rng.standard_normal(t.n)
 

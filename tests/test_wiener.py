@@ -173,7 +173,7 @@ def test_stats_from_another_map_rejected():
 
 
 def test_denoise_rejects_a_map_of_another_layout():
-    t = SparsifyingTransform(16, 16, 4, levels=3)
+    t = SparsifyingTransform(16, 16, 4)
     q = np.random.default_rng(31).standard_normal(t.n)
     # too few levels, then the same n in another shape
     for smap in (subband_map(16, 16, 4, 1), subband_map(8, 32, 4, 2)):
