@@ -162,6 +162,13 @@ def _cmd_reconstruct(args) -> int:
         else:
             transform = SparsifyingTransform(model.rows, model.cols, model.bands, wavelet=args.wavelet)
             f_hat, trace = fista_run(ms.values, model, transform, config, truth=truth)
+        # finite but past what the cube file can store: the iteration ran away
+        if not fileio.fits_float32(f_hat):
+            raise DivergenceError(
+                f"values beyond the float32 range in the estimate at iteration {len(trace)}",
+                iteration=len(trace),
+                trace=trace,
+            )
     except DivergenceError as err:
         if err.trace is not None:
             _write_trace(args.trace, err.trace)

@@ -100,18 +100,22 @@ def _expect_length(data: bytes, expected: int) -> None:
         raise ValueError(f"expected {expected} bytes, found {len(data)}")
 
 
+def fits_float32(values: np.ndarray) -> bool:
+    """Whether the float32 payload holds every one of the finite ``values``."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(values.astype("<f4"))))
+
+
 def _float32_payload(values: np.ndarray) -> bytes:
     """Finite float64 ``values`` as little-endian float32 bytes.
 
     A value beyond the float32 range would be stored as inf, so it is
     rejected before anything is written.
     """
-    with np.errstate(over="ignore"):
-        payload = values.astype("<f4")
-    if not np.all(np.isfinite(payload)):
+    if not fits_float32(values):
         limit = float(np.finfo(np.float32).max)
         raise ValueError(f"values beyond the float32 range (+-{limit:.4g}) cannot be stored")
-    return payload.tobytes()
+    return values.astype("<f4").tobytes()
 
 
 @_names_file

@@ -12,6 +12,14 @@ over the ``N+L+1`` detector columns. The adjoint runs the same steps
 transposed: a 3-tap correlation of the frame, then one masked slice per
 band.
 
+Row i of every shot reads only row i of the cube, so H H^T is block
+diagonal over detector rows. Within row i, with W the ``(N+L+1) x (N+L-1)``
+filter, ``H_i H_i^T = (I_K kron W) A_i (I_K kron W^T)``, and block (k, k') of
+``A_i`` is diagonal: entry c counts the bands l whose voxel (i, c-l) is open
+in both shots k and k' (:func:`_overlap_counts`). The two shots of a
+complementary pair never share an open voxel, so their cross counts vanish;
+only then (K = 2, complementary) does a row block split further by shot.
+
 The dense matrix is never formed in normal operation; ``materialize`` exists
 for small-instance verification only and enforces a size cap.
 """
@@ -129,22 +137,39 @@ class CassiModel:
         return self.m / self.n
 
 
+def _disperse(weights: DispersionWeights, sheared: np.ndarray, out: np.ndarray) -> None:
+    """Add the 3-tap filter W of ``sheared`` (last axis N+L-1) into ``out`` (N+L+1)."""
+    w0, w1, w2 = weights.as_tuple()
+    width = sheared.shape[-1]
+    out[..., :width] += w0 * sheared
+    out[..., 1 : width + 1] += w1 * sheared
+    out[..., 2:] += w2 * sheared
+
+
+def _correlate(
+    weights: DispersionWeights, frames: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """W^T along the last axis: N+L+1 detector columns -> N+L-1 sheared columns."""
+    w0, w1, w2 = weights.as_tuple()
+    width = frames.shape[-1] - 2
+    out = np.multiply(frames[..., :width], w0, out=out)
+    out += w1 * frames[..., 1 : width + 1]
+    out += w2 * frames[..., 2:]
+    return out
+
+
 def _forward(model: CassiModel, cube: np.ndarray) -> np.ndarray:
     """(M, N, L) cube -> (M, N+L+1, K) frames: per shot, shear then filter."""
     masks = model._masks
     M, N, L, K = model.rows, model.cols, model.bands, model.shots
     width = N + L - 1
-    w0, w1, w2 = model.weights.as_tuple()
     out = np.zeros((M, width + 2, K), order="F")
     for k in range(K):
         mask = masks[:, :, k]
         sheared = np.zeros((M, width), order="F")
         for l in range(L):
             sheared[:, l : l + N] += mask * cube[:, :, l]
-        frame = out[:, :, k]
-        frame[:, :width] += w0 * sheared
-        frame[:, 1 : width + 1] += w1 * sheared
-        frame[:, 2:] += w2 * sheared
+        _disperse(model.weights, sheared, out[:, :, k])
     return out
 
 
@@ -152,16 +177,40 @@ def _adjoint(model: CassiModel, frames: np.ndarray) -> np.ndarray:
     """Exact transpose of :func:`_forward`: per shot, correlate then unshear."""
     masks = model._masks
     N, L, K = model.cols, model.bands, model.shots
-    width = N + L - 1
-    w0, w1, w2 = model.weights.as_tuple()
     out = np.zeros((model.rows, N, L), order="F")
     for k in range(K):
-        frame = frames[:, :, k]
-        corr = w0 * frame[:, :width] + w1 * frame[:, 1 : width + 1] + w2 * frame[:, 2:]
+        corr = _correlate(model.weights, frames[:, :, k])
         mask = masks[:, :, k]
         for l in range(L):
             out[:, :, l] += mask * corr[:, l : l + N]
     return out
+
+
+def _overlap_counts(model: CassiModel) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of every row's shot-pair Gram blocks, as band counts.
+
+    Returns ``(counts, pair)``: ``counts[i, c, pair[k, k2]]`` is the number
+    of bands l with ``0 <= c-l < N`` and both apertures k and k2 open at
+    (i, c-l). Only the pairs k <= k2 are stored, in the smallest unsigned
+    dtype that holds L, as (M, N+L-1) planes laid out like the frames of
+    :func:`_forward`; ``pair`` maps both orders of a pair to its plane. One
+    column-wise ``cumsum`` of each pair's mask product gives its counts as
+    differences of prefix sums over the band window.
+    """
+    masks = model.apertures.masks
+    K, M, N = masks.shape
+    L = model.bands
+    cols = np.arange(N + L - 1)
+    hi, lo = np.minimum(cols + 1, N), np.maximum(cols - L + 1, 0)
+    first, second = np.triu_indices(K)
+    pair = np.empty((K, K), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(first.size)
+    counts = np.empty((M, N + L - 1, first.size), dtype=np.min_scalar_type(L), order="F")
+    prefix = np.zeros((M, N + 1), dtype=np.intp)
+    for p, (k, k2) in enumerate(zip(first, second)):
+        np.cumsum(masks[k] & masks[k2], axis=1, dtype=np.intp, out=prefix[:, 1:])
+        np.subtract(prefix[:, hi], prefix[:, lo], out=counts[:, :, p], casting="unsafe")
+    return counts, pair
 
 
 def forward_apply(model: CassiModel, f: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Runs the core numerical invariants on one fixed 8x8x4, K=2 instance:
 measurement-count arithmetic, the operator adjoint identity, equivalence of
-the matrix-free operator with its materialized matrix, transform round
-trips and energy preservation, and a bit-for-bit check of the Wiener
-statistics and shrinkage against :func:`scalar_wiener_reference`, the
-scalar oracle the tests share. All checks must pass for a healthy build.
+the matrix-free operator with its materialized matrix, the FISTA step's
+operator norm against the dense matrix's, transform round trips and energy
+preservation, and a bit-for-bit check of the Wiener statistics and
+shrinkage against :func:`scalar_wiener_reference`, the scalar oracle the
+tests share. All checks must pass for a healthy build.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms as tf
+from .fista import operator_norm_squared
 from .operator import (
     CassiModel,
     DispersionWeights,
@@ -85,9 +87,16 @@ def run_selfcheck() -> list[CheckResult]:
     results.append(CheckResult("adjoint identity (20 pairs)", err <= 1e-10, f"max rel err={err:.3e}"))
 
     f = rng.standard_normal(model.n)
-    dense_err = float(np.abs(materialize(model) @ f - forward_apply(model, f)).max())
+    H = materialize(model)
+    dense_err = float(np.abs(H @ f - forward_apply(model, f)).max())
     results.append(
         CheckResult("matrix-free forward matches dense", dense_err <= 1e-12, f"max abs err={dense_err:.3e}")
+    )
+
+    dense_norm = float(np.linalg.norm(H, 2)) ** 2
+    norm_err = abs(operator_norm_squared(model) - dense_norm) / dense_norm
+    results.append(
+        CheckResult("operator norm matches dense", norm_err <= 1e-9, f"rel err={norm_err:.3e}")
     )
 
     transform = tf.SparsifyingTransform(M, N, L)

@@ -484,6 +484,33 @@ def test_divergence_names_first_non_finite_stage(instance32, capsys):
     assert not (instance32 / "x.hsc").exists()
 
 
+def test_finite_divergence_beyond_float32_exit_4(tmp_path, capsys):
+    # AMP damped at 0.5 runs away on this 32x32x16, K=8 instance while every
+    # value stays finite: about 1e86 at iteration 100, more than a float32
+    # cube can store
+    fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(32, 32, 16, "gaussian-blobs", seed=0))
+    assert run_cli(
+        "aperture", "--rows", 32, "--cols", 32, "--shots", 8, "--seed", 1,
+        "--out", tmp_path / "ap.hsa",
+    ) == 0
+    assert run_cli(
+        "simulate", "--cube", tmp_path / "cube.hsc", "--apertures", tmp_path / "ap.hsa",
+        "--snr", 20, "--seed", 2, "--out", tmp_path / "meas.hsm",
+    ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "reconstruct", "--measurements", tmp_path / "meas.hsm",
+        "--apertures", tmp_path / "ap.hsa", "--alpha", 0.5, "--iters", 100,
+        "--out", tmp_path / "x.hsc", "--trace", tmp_path / "t.csv",
+    )
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: values beyond the float32 range in the estimate at iteration 100\n"
+    )
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 100
+    assert not (tmp_path / "x.hsc").exists()
+
+
 def test_eval_report(workdir, capsys):
     run_cli(
         "reconstruct", "--measurements", workdir / "meas.hsm",
@@ -544,7 +571,7 @@ def test_eval_nan_truth_names_the_file(workdir, capsys):
 def test_selfcheck_passes_and_corrupt_hook_fails(capsys, monkeypatch):
     assert run_cli("selfcheck") == 0
     out = capsys.readouterr().out
-    assert "6/6 checks passed" in out
+    assert "7/7 checks passed" in out
     assert "208" in out  # the 208-measurement instance is exercised
     monkeypatch.setattr("cassirecon.selfcheck.measurement_count", lambda M, N, L, K: 0)
     assert run_cli("selfcheck") == 1
@@ -661,7 +688,7 @@ def test_module_entry_point():
 
     done = cli("selfcheck")
     assert done.returncode == 0
-    assert "6/6 checks passed" in done.stdout
+    assert "7/7 checks passed" in done.stdout
     assert cli("selfcheck", "--no-such-flag").returncode == 2
 
 
