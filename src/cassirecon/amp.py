@@ -12,9 +12,9 @@ One iteration:
 The correction in step 1 uses the previous iteration's mean shrinkage gain
 d_prev; it keeps the pseudo data statistically close to signal plus
 Gaussian noise. Damping (alpha < 1) stabilizes the recursion on this
-highly structured operator, where the undamped iteration can blow up; any
-non-finite value aborts with a structured error instead of being clamped,
-so divergence stays visible.
+highly structured operator, where the undamped iteration can blow up; a
+value beyond the float32 range aborts with a structured error instead of
+being clamped, so divergence stays visible.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .cubes import flat_vector
-from .errors import DimensionError, check_finite
+from .errors import DimensionError, check_float32_range
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
@@ -150,18 +150,18 @@ def amp_iteration(
         # each damp writes over its first argument and the denoiser over q,
         # never over state.f or state.r
         r = damp(residual_step(state.f, state.r, state.deriv_mean, g, model), state.r, alpha)
-        # with 0 < alpha and state.r finite, r is non-finite exactly when
-        # the raw residual is
-        check_finite(r, "residual", t, trace)
+        # damping keeps NaN and inf, but may pull a raw residual beyond the
+        # range back into it; the noise estimate, mean(r^2), usually catches that
+        check_float32_range(r, "residual", t, trace)
         q = pseudo_data(state.f, r, model)
         sigma2 = noise_estimate(r)
-        check_finite(sigma2, "noise estimate", t, trace)
+        check_float32_range(sigma2, "noise estimate", t, trace)
         f_half, deriv = denoise_cube(q, sigma2, transform, smap, out=q)
-    # With sigma2 finite, a group gain (nu^2 - sigma2) / nu^2 is NaN exactly
+    # With sigma2 in range, a group gain (nu^2 - sigma2) / nu^2 is NaN exactly
     # when its variance nu^2 overflowed to inf, and the mean gain with it.
-    check_finite(deriv, "group variances", t, trace)
+    check_float32_range(deriv, "group variances", t, trace)
     f_next = damp(f_half, state.f, alpha)
-    check_finite(f_next, "iterate", t, trace)
+    check_float32_range(f_next, "iterate", t, trace)
     if trace is not None:
         trace.append_iteration(
             start, f_next,

@@ -5,8 +5,8 @@ measurements from a cube, reconstruct (AMP or the l1 baseline), evaluate
 PSNR against a reference, export band images, and run the numerical
 self-check suite.
 
-Exit codes: 0 success, 2 usage or validation error, 3 I/O failure,
-4 solver divergence (with any partial trace flushed first).
+Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 I/O
+failure, 4 solver divergence (with any partial trace flushed first).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .fista import L1Config, fista_run
 from .metrics import PsnrSummary, add_noise, per_band_psnr
 from .operator import CassiModel, forward_apply, generate_apertures
 from .selfcheck import format_results, run_selfcheck
-from .transforms import SparsifyingTransform
+from .transforms import WAVELET_FILTERS, SparsifyingTransform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,13 +162,6 @@ def _cmd_reconstruct(args) -> int:
         else:
             transform = SparsifyingTransform(model.rows, model.cols, model.bands, wavelet=args.wavelet)
             f_hat, trace = fista_run(ms.values, model, transform, config, truth=truth)
-        # finite but past what the cube file can store: the iteration ran away
-        if not fileio.fits_float32(f_hat):
-            raise DivergenceError(
-                f"values beyond the float32 range in the estimate at iteration {len(trace)}",
-                iteration=len(trace),
-                trace=trace,
-            )
     except DivergenceError as err:
         if err.trace is not None:
             _write_trace(args.trace, err.trace)
@@ -247,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="l1 regularization weight (required for fista, rejected for amp)")
-    p.add_argument("--wavelet", choices=["haar", "db4"], default="haar")
+    p.add_argument("--wavelet", choices=sorted(WAVELET_FILTERS), default="haar")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="reference cube for per-iteration PSNR")
     p.add_argument("--trace", default=None, help="per-iteration CSV trace path")
@@ -283,6 +276,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

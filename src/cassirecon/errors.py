@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the solvers' divergence check."""
+"""Exception types shared across the package, and the one divergence rule:
+a value is usable when the float32 payload of the files can hold it."""
 
 import numpy as np
 
@@ -8,7 +9,7 @@ class DimensionError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterative solver produced non-finite values.
+    """An iterative solver produced values beyond the float32 range, NaN and +-inf included.
 
     Carries the iteration index at which divergence was detected and the
     trace accumulated up to that point, so callers can flush diagnostics.
@@ -20,15 +21,21 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def check_finite(v, what: str, iteration: int, trace) -> None:
-    """Raise :class:`DivergenceError` unless every value of ``v`` is finite.
+def fits_float32(values) -> bool:
+    """Whether a float32 payload holds every one of ``values``; NaN and +-inf it cannot."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(np.asarray(values).astype("<f4"))))
+
+
+def check_float32_range(v, what: str, iteration: int, trace) -> None:
+    """Raise :class:`DivergenceError` unless :func:`fits_float32` holds for ``v``.
 
     ``what`` names the stage in the message; ``iteration`` and the partial
     ``trace`` travel with the error.
     """
-    if not np.all(np.isfinite(v)):
+    if not fits_float32(v):
         raise DivergenceError(
-            f"non-finite values in {what} at iteration {iteration}",
+            f"values beyond the float32 range in {what} at iteration {iteration}",
             iteration=iteration,
             trace=trace,
         )

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .cubes import HyperCube, MeasurementSet, measurement_count
-from .errors import DimensionError
+from .errors import DimensionError, fits_float32
 from .operator import CodedApertureSet
 
 CUBE_MAGIC = b"HSC1"
@@ -98,12 +98,6 @@ def _read_exact(path: PathLike, magic: bytes, header: struct.Struct) -> tuple[by
 def _expect_length(data: bytes, expected: int) -> None:
     if len(data) != expected:
         raise ValueError(f"expected {expected} bytes, found {len(data)}")
-
-
-def fits_float32(values: np.ndarray) -> bool:
-    """Whether the float32 payload holds every one of the finite ``values``."""
-    with np.errstate(over="ignore"):
-        return bool(np.all(np.isfinite(values.astype("<f4"))))
 
 
 def _float32_payload(values: np.ndarray) -> bytes:
@@ -189,7 +183,10 @@ def export_pgm_slices(cube: HyperCube, outdir: PathLike, peak: float = 1.0) -> l
     if not (np.isfinite(peak) and peak > 0.0):
         raise ValueError(f"peak must be positive and finite, got {peak}")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise OSError(f"cannot write {outdir}: {err.strerror}") from None
     arr = cube.as_array()
     paths = []
     for l in range(cube.bands):

@@ -21,28 +21,19 @@ import numpy as np
 
 from .amp import DEFAULT_MAX_ITER
 from .cubes import flat_vector
-from .errors import check_finite
+from .errors import check_float32_range
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
-from .operator import (
-    CassiModel,
-    _correlate,
-    _disperse,
-    _overlap_counts,
-    adjoint_apply,
-    forward_apply,
-)
+from .operator import CassiModel, adjoint_apply, forward_apply, operator_norm_squared
 from .transforms import SparsifyingTransform
-
-POWER_ITERS = 50
 
 
 @dataclass(frozen=True)
 class L1Config:
     """Baseline settings; ``step=None`` selects 1/||H||^2.
 
-    The default step comes from :func:`operator_norm_squared`, a per-row
-    power iteration on the row blocks of H H^T.
+    The default step comes from :func:`.operator.operator_norm_squared`, a
+    per-row power iteration on the row blocks of H H^T.
     """
 
     lam: float
@@ -74,45 +65,6 @@ def soft_threshold(theta: np.ndarray, tau: float) -> np.ndarray:
     out -= tau
     np.maximum(out, 0.0, out=out)
     return np.copysign(out, theta, out=out)
-
-
-def operator_norm_squared(model: CassiModel) -> float:
-    """||H||^2, the largest eigenvalue of H H^T, by per-row power iteration.
-
-    H H^T is block diagonal over detector rows (see :mod:`.operator`), so
-    every row block runs its own power iteration on the (M, N+L+1, K)
-    frames. A step correlates the frames with the 3-tap filter, mixes the
-    shots by the row's overlap counts and filters back; it makes no
-    cube-sized array and calls neither H nor H^T. Each row starts from all
-    ones, which is not orthogonal to the nonnegative Perron vector of its
-    entrywise nonnegative block, and is normalised on its own; a row closed
-    in every shot stays zero. Returns the largest per-row Rayleigh quotient
-    after ``POWER_ITERS`` steps, a lower bound on ||H||^2.
-    """
-    counts, pair = _overlap_counts(model)
-    M, width, K = counts.shape[0], counts.shape[1], model.shots
-    frames = np.ones((M, width + 2, K), order="F")
-    corr = np.empty((M, width, K), order="F")
-    mixed = np.empty((M, width), order="F")
-    product = np.empty_like(mixed)
-    for _ in range(POWER_ITERS):
-        # 3-tap correlation of the frames, each row scaled to unit norm
-        norms = np.sqrt(np.einsum("ick,ick->i", frames, frames))
-        scale = np.divide(1.0, norms, out=np.zeros(M), where=norms > 0.0)[:, None]
-        for k in range(K):
-            _correlate(model.weights, frames[:, :, k], out=corr[:, :, k])
-            corr[:, :, k] *= scale
-        # the overlap mix, the quotient <v, H H^T v> = <corr, mixed> per row,
-        # then the 3-tap filter back into the frames
-        quotients = np.zeros(M)
-        for k in range(K):
-            np.multiply(counts[:, :, pair[k, 0]], corr[:, :, 0], out=mixed)
-            for k2 in range(1, K):
-                mixed += np.multiply(counts[:, :, pair[k, k2]], corr[:, :, k2], out=product)
-            quotients += np.einsum("ic,ic->i", corr[:, :, k], mixed)
-            frames[:, :, k] = 0.0
-            _disperse(model.weights, mixed, frames[:, :, k])
-    return float(quotients.max())
 
 
 def _lipschitz_step(model: CassiModel) -> float:
@@ -156,7 +108,7 @@ def fista_run(
             grad = adjoint_apply(model, hy - g)
             s = soft_threshold(transform.forward(y - step * grad), step * config.lam)
             z = transform.inverse(s)
-            check_finite(z, "iterate", it, trace)
+            check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
             # Psi is orthonormal, so ||Psi z||_1 = ||s||_1 up to rounding

@@ -19,6 +19,8 @@ filter, ``H_i H_i^T = (I_K kron W) A_i (I_K kron W^T)``, and block (k, k') of
 in both shots k and k' (:func:`_overlap_counts`). The two shots of a
 complementary pair never share an open voxel, so their cross counts vanish;
 only then (K = 2, complementary) does a row block split further by shot.
+:func:`operator_norm_squared`, which sets FISTA's step, works on these row
+blocks alone.
 
 The dense matrix is never formed in normal operation; ``materialize`` exists
 for small-instance verification only and enforces a size cap.
@@ -34,6 +36,7 @@ from .cubes import DispersionWeights, check_dims, cube_view, measurement_count, 
 from .errors import DimensionError
 
 MATERIALIZE_CAP = 40_000_000
+POWER_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,45 @@ def _overlap_counts(model: CassiModel) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(masks[k] & masks[k2], axis=1, dtype=np.intp, out=prefix[:, 1:])
         np.subtract(prefix[:, hi], prefix[:, lo], out=counts[:, :, p], casting="unsafe")
     return counts, pair
+
+
+def operator_norm_squared(model: CassiModel) -> float:
+    """||H||^2, the largest eigenvalue of H H^T, by per-row power iteration.
+
+    H H^T is block diagonal over detector rows (module docstring), so
+    every row block runs its own power iteration on the (M, N+L+1, K)
+    frames. A step correlates the frames with the 3-tap filter, mixes the
+    shots by the row's overlap counts and filters back; it makes no
+    cube-sized array and calls neither H nor H^T. Each row starts from all
+    ones, which is not orthogonal to the nonnegative Perron vector of its
+    entrywise nonnegative block, and is normalised on its own; a row closed
+    in every shot stays zero. Returns the largest per-row Rayleigh quotient
+    after ``POWER_ITERS`` steps, a lower bound on ||H||^2.
+    """
+    counts, pair = _overlap_counts(model)
+    M, width, K = counts.shape[0], counts.shape[1], model.shots
+    frames = np.ones((M, width + 2, K), order="F")
+    corr = np.empty((M, width, K), order="F")
+    mixed = np.empty((M, width), order="F")
+    product = np.empty_like(mixed)
+    for _ in range(POWER_ITERS):
+        # 3-tap correlation of the frames, each row scaled to unit norm
+        norms = np.sqrt(np.einsum("ick,ick->i", frames, frames))
+        scale = np.divide(1.0, norms, out=np.zeros(M), where=norms > 0.0)[:, None]
+        for k in range(K):
+            _correlate(model.weights, frames[:, :, k], out=corr[:, :, k])
+            corr[:, :, k] *= scale
+        # the overlap mix, the quotient <v, H H^T v> = <corr, mixed> per row,
+        # then the 3-tap filter back into the frames
+        quotients = np.zeros(M)
+        for k in range(K):
+            np.multiply(counts[:, :, pair[k, 0]], corr[:, :, 0], out=mixed)
+            for k2 in range(1, K):
+                mixed += np.multiply(counts[:, :, pair[k, k2]], corr[:, :, k2], out=product)
+            quotients += np.einsum("ic,ic->i", corr[:, :, k], mixed)
+            frames[:, :, k] = 0.0
+            _disperse(model.weights, mixed, frames[:, :, k])
+    return float(quotients.max())
 
 
 def forward_apply(model: CassiModel, f: np.ndarray) -> np.ndarray:

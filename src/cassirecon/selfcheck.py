@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms as tf
-from .fista import operator_norm_squared
 from .operator import (
     CassiModel,
     DispersionWeights,
@@ -25,6 +24,7 @@ from .operator import (
     generate_apertures,
     materialize,
     measurement_count,
+    operator_norm_squared,
 )
 from .wiener import estimate_stats, shrink_derivative_mean, wiener_shrink
 

@@ -356,6 +356,40 @@ def test_residual_overflow_raises_at_its_iteration():
     assert exc.value.trace is trace
 
 
+def test_finite_runaway_raises_with_partial_trace():
+    # at alpha 0.5 this instance runs away while float64 stays finite; the
+    # noise estimate is the first stage to leave the float32 range
+    cube = phantom_cube(32, 32, 16, "gaussian-blobs", seed=0)
+    model = CassiModel(generate_apertures(32, 32, 8, "complementary", seed=1), W, bands=16)
+    g, _ = add_noise(forward_apply(model, cube.values), 20.0, seed=2)
+    with pytest.raises(DivergenceError, match="in noise estimate at iteration 25$") as exc:
+        run_amp(g, model, AmpConfig(alpha=0.5, max_iter=100), truth=cube.values)
+    assert exc.value.iteration == 25
+    assert len(exc.value.trace) == 24 and len(exc.value.trace.psnr) == 24
+
+
+@pytest.mark.parametrize(
+    "stage, denoised",
+    [
+        # a NaN mean gain, as an overflowed group variance gives
+        ("group variances", lambda q: (q, float("nan"))),
+        # a finite denoised cube beyond the float32 range
+        ("iterate", lambda q: (np.full_like(q, 1e39), 0.5)),
+    ],
+    ids=["group-variances", "iterate"],
+)
+def test_denoiser_stages_raise_at_their_iteration(monkeypatch, stage, denoised):
+    monkeypatch.setattr("cassirecon.amp.denoise_cube", lambda q, *args, **kwargs: denoised(q))
+    model = small_model()
+    t, smap = setup_solver(model)
+    state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m), t=4)
+    trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
+    with pytest.raises(DivergenceError, match=f"in {stage} at iteration 4$") as exc:
+        amp_iteration(state, np.ones(model.m), model, t, smap, 1.0, trace)
+    assert exc.value.iteration == 4
+    assert exc.value.trace is trace
+
+
 def test_run_rejects_wrong_lengths():
     model = small_model()
     with pytest.raises(DimensionError):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from cassirecon import fileio
 from cassirecon.cli import _solver_config, build_parser, main
 from cassirecon.phantoms import phantom_cube
+from cassirecon.transforms import WAVELET_FILTERS
 
 
 def run_cli(*args):
@@ -49,6 +51,24 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["reconstruct", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def test_out_of_memory_exit_2_one_line(tmp_path, monkeypatch, capsys):
+    # the allocation is faked: a real one this size would exhaust the host
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 922. GiB for an array with shape (99, 99999, 99999)")
+
+    monkeypatch.setattr("cassirecon.cli.generate_apertures", too_big)
+    code = run_cli(
+        "aperture", "--rows", 99999, "--cols", 99999, "--shots", 99,
+        "--scheme", "random", "--out", tmp_path / "big.hsa",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 922. GiB for an array with shape "
+        "(99, 99999, 99999)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_aperture_odd_complementary_exit_2(tmp_path, capsys):
@@ -281,6 +301,12 @@ def test_reconstruct_defaults():
     assert args.wavelet == "haar"
 
 
+def test_reconstruct_wavelet_choices_are_the_filter_families():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    wavelet = next(a for a in sub.choices["reconstruct"]._actions if a.dest == "wavelet")
+    assert wavelet.choices == sorted(WAVELET_FILTERS)
+
+
 def test_reconstruct_non_power_of_two_size(tmp_path):
     # 100 halves only twice, so the default wavelet depth must stop at 2
     fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(100, 100, 4, "gaussian-blobs", seed=1))
@@ -435,7 +461,7 @@ def test_reconstruct_divergence_exit_4_flushes_trace(tmp_path):
     assert code == 4
     trace_lines = (tmp_path / "t.csv").read_text().splitlines()
     assert trace_lines[0] == "iter,sigma2,residual_norm,derivative_mean,wall_ms"
-    assert len(trace_lines) > 100  # partial trace up to the blow-up
+    assert len(trace_lines) == 1 + 37  # partial trace up to the blow-up
     assert not (tmp_path / "x.hsc").exists()
 
 
@@ -464,8 +490,8 @@ def test_simulate_beyond_float32_exit_2(instance32, capsys):
 
 
 def test_divergence_names_first_non_finite_stage(instance32, capsys):
-    # Undamped AMP blows up here at iteration 161. The residual, the pseudo
-    # data and the coefficients are still finite; the group variances are not.
+    # Undamped AMP runs away here. At iteration 23 the residual still fits
+    # the float32 range; its mean square, the noise estimate, does not.
     assert run_cli(
         "simulate", "--cube", instance32 / "cube.hsc", "--apertures", instance32 / "ap.hsa",
         "--snr", 20, "--out", instance32 / "meas.hsm",
@@ -478,16 +504,16 @@ def test_divergence_names_first_non_finite_stage(instance32, capsys):
     )
     assert code == 4
     assert capsys.readouterr().err == (
-        "error: non-finite values in group variances at iteration 161\n"
+        "error: values beyond the float32 range in noise estimate at iteration 23\n"
     )
-    assert len((instance32 / "t.csv").read_text().splitlines()) == 1 + 160
+    assert len((instance32 / "t.csv").read_text().splitlines()) == 1 + 22
     assert not (instance32 / "x.hsc").exists()
 
 
 def test_finite_divergence_beyond_float32_exit_4(tmp_path, capsys):
     # AMP damped at 0.5 runs away on this 32x32x16, K=8 instance while every
-    # value stays finite: about 1e86 at iteration 100, more than a float32
-    # cube can store
+    # value stays finite in float64 (about 1e86 by iteration 100); the noise
+    # estimate leaves the float32 range at iteration 25
     fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(32, 32, 16, "gaussian-blobs", seed=0))
     assert run_cli(
         "aperture", "--rows", 32, "--cols", 32, "--shots", 8, "--seed", 1,
@@ -505,9 +531,9 @@ def test_finite_divergence_beyond_float32_exit_4(tmp_path, capsys):
     )
     assert code == 4
     assert capsys.readouterr().err == (
-        "error: values beyond the float32 range in the estimate at iteration 100\n"
+        "error: values beyond the float32 range in noise estimate at iteration 25\n"
     )
-    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 100
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 24
     assert not (tmp_path / "x.hsc").exists()
 
 
@@ -585,6 +611,17 @@ def test_export_slices(workdir, capsys):
     assert code == 0
     files = sorted((workdir / "slices").iterdir())
     assert [f.name for f in files] == [f"band_{l:02d}.pgm" for l in range(4)]
+
+
+@pytest.mark.parametrize(
+    "outdir, reason", [("afile", "File exists"), ("afile/slices", "Not a directory")]
+)
+def test_export_slices_unwritable_outdir_names_it_exit_3(workdir, capsys, outdir, reason):
+    (workdir / "afile").write_bytes(b"")
+    capsys.readouterr()
+    code = run_cli("export-slices", "--cube", workdir / "cube.hsc", "--outdir", workdir / outdir)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write {workdir / outdir}: {reason}\n"
 
 
 @pytest.mark.parametrize("peak", ["nan", "inf"])

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cassirecon.errors import DivergenceError
-from cassirecon.fista import (
-    L1Config,
-    fista_run,
-    operator_norm_squared,
-    soft_threshold,
-    sweep_lambda,
-)
+from cassirecon.fista import L1Config, fista_run, soft_threshold, sweep_lambda
 from cassirecon.metrics import Trace, add_noise
 from cassirecon.operator import (
     CassiModel,
@@ -20,6 +14,7 @@ from cassirecon.operator import (
     forward_apply,
     generate_apertures,
     materialize,
+    operator_norm_squared,
 )
 from cassirecon.phantoms import phantom_cube
 from cassirecon.transforms import SparsifyingTransform
@@ -327,7 +322,7 @@ def test_divergence_error_carries_partial_trace():
     t = SparsifyingTransform(8, 8, 4)
     g = np.random.default_rng(10).standard_normal(model.m)
     with pytest.raises(DivergenceError) as exc:
-        fista_run(g, model, t, L1Config(lam=1e-6, max_iter=50, step=1e300))
+        fista_run(g, model, t, L1Config(lam=1e-6, max_iter=50, step=1e30))
     trace = exc.value.trace
     assert isinstance(trace, Trace)
     # the first iteration completed, the second blew up
