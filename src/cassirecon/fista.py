@@ -6,6 +6,12 @@ kept and the momentum sequence continues from it, so the recorded objective
 is nonincreasing. Because Psi is orthonormal, the prox of lam*||Psi . ||_1
 is exactly Psi^T o soft_threshold o Psi.
 
+The loop builds few cube-sized temporaries. The gradient step
+y - step*grad is formed in place in the adjoint's output, and the momentum
+point follows the safeguard's branch: z + b*(z - x) when the candidate is
+accepted, x + a*(z - x) when it is rejected, the term of the general
+formula that is exactly zero left out.
+
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
 reimplementation of any specific packaged algorithm.
@@ -14,7 +20,7 @@ reimplementation of any specific packaged algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -105,23 +111,37 @@ def fista_run(
         start = time.perf_counter()
         # may overflow to inf near divergence; the monotone safeguard copes
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = adjoint_apply(model, hy - g)
-            s = soft_threshold(transform.forward(y - step * grad), step * config.lam)
+            # y - step * grad, formed in the adjoint's fresh output
+            v = adjoint_apply(model, hy - g)
+            v *= -step
+            v += y
+            c = transform.forward(v)
+            s = soft_threshold(c, step * config.lam)
+            # c is dead: |s| goes into it for the l1 term
+            l1 = float(np.abs(s, out=c).sum())
             z = transform.inverse(s)
             check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
             # Psi is orthonormal, so ||Psi z||_1 = ||s||_1 up to rounding
-            fz = 0.5 * float(resid_z @ resid_z) + config.lam * float(np.abs(s).sum())
-            # monotone safeguard: never accept an objective increase
-            if fz <= fx:
-                x_new, hx_new, resid_new, fx_new = z, hz, resid_z, fz
-            else:
-                x_new, hx_new, resid_new, fx_new = x, hx, resid_x, fx
+            fz = 0.5 * float(resid_z @ resid_z) + config.lam * l1
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
             a, b = t_mom / t_next, (t_mom - 1.0) / t_next
-            y = x_new + a * (z - x_new) + b * (x_new - x)
-            hy = hx_new + a * (hz - hx_new) + b * (hx_new - hx)
+            # monotone safeguard: never accept an objective increase. The
+            # momentum point x_new + a*(z - x_new) + b*(x_new - x) then
+            # loses its zero term: z + b*(z - x), or x + a*(z - x)
+            y = z - x
+            hy = hz - hx
+            if fz <= fx:
+                x_new, hx_new, resid_new, fx_new = z, hz, resid_z, fz
+                y *= b
+                hy *= b
+            else:
+                x_new, hx_new, resid_new, fx_new = x, hx, resid_x, fx
+                y *= a
+                hy *= a
+            y += x_new
+            hy += hx_new
         x, hx, resid_x, fx, t_mom = x_new, hx_new, resid_new, fx_new, t_next
         trace.append_iteration(
             start, x, objective=fx, residual_norm=float(np.linalg.norm(resid_x))
@@ -139,12 +159,13 @@ def sweep_lambda(
 ) -> list[tuple[float, np.ndarray, Trace]]:
     """Run the baseline once per regularization weight in ``lambdas``.
 
-    The step size is estimated once and shared across the sweep.
+    Every weight is checked before any work starts; the step size is then
+    estimated once and shared across the sweep.
     """
+    configs = [L1Config(lam=lam, max_iter=max_iter) for lam in lambdas]
     step = _lipschitz_step(model)
     results = []
-    for lam in lambdas:
-        config = L1Config(lam=lam, max_iter=max_iter, step=step)
-        f_hat, trace = fista_run(g, model, transform, config, truth=truth)
-        results.append((lam, f_hat, trace))
+    for config in configs:
+        f_hat, trace = fista_run(g, model, transform, replace(config, step=step), truth=truth)
+        results.append((config.lam, f_hat, trace))
     return results

@@ -58,25 +58,28 @@ def test_soft_threshold_matches_sign_formula_and_keeps_input():
     assert np.array_equal(theta, before, equal_nan=True)
 
 
+def counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_one_operator_and_transform_call_each_per_iteration(monkeypatch):
     model = small_model(seed=12)
     t = SparsifyingTransform(8, 8, 4)
     g = np.random.default_rng(12).standard_normal(model.m)
     calls = {}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr("cassirecon.fista.forward_apply", counting("H", forward_apply))
-    monkeypatch.setattr("cassirecon.fista.adjoint_apply", counting("H^T", adjoint_apply))
+    monkeypatch.setattr("cassirecon.fista.forward_apply", counting(calls, "H", forward_apply))
+    monkeypatch.setattr("cassirecon.fista.adjoint_apply", counting(calls, "H^T", adjoint_apply))
     monkeypatch.setattr(
-        SparsifyingTransform, "forward", counting("Psi", SparsifyingTransform.forward)
+        SparsifyingTransform, "forward", counting(calls, "Psi", SparsifyingTransform.forward)
     )
     monkeypatch.setattr(
-        SparsifyingTransform, "inverse", counting("Psi^T", SparsifyingTransform.inverse)
+        SparsifyingTransform, "inverse", counting(calls, "Psi^T", SparsifyingTransform.inverse)
     )
     fista_run(g, model, t, L1Config(lam=0.05, max_iter=5, step=0.5))
     assert calls == {"H": 5, "H^T": 5, "Psi": 5, "Psi^T": 5}
@@ -133,6 +136,62 @@ def test_fista_matches_dense_transcription(step_scale, rejects):
     assert np.abs(f_hat - x_ref).max() <= 1e-12
     np.testing.assert_allclose(trace.objective, obj_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(trace.residual_norm, res_ref, rtol=1e-12, atol=0)
+
+
+def straight_line_fista(g, model, t, lam, step, iters):
+    """FISTA on the package's operator and transform, in the general form.
+
+    The momentum point is ``x_new + a*(z - x_new) + b*(x_new - x)`` on both
+    branches of the safeguard, and each step is written out as one
+    expression. Returns the estimate, the objective and residual-norm
+    columns, and the number of rejected candidates.
+    """
+    x = np.zeros(model.n)
+    y = x
+    hx = np.zeros(model.m)
+    hy = hx
+    resid_x = g
+    fx = 0.5 * float(g @ g)
+    t_mom = 1.0
+    objectives, residual_norms, rejected = [], [], 0
+    for _ in range(iters):
+        grad = adjoint_apply(model, hy - g)
+        s = soft_threshold(t.forward(y - step * grad), step * lam)
+        z = t.inverse(s)
+        hz = forward_apply(model, z)
+        resid_z = g - hz
+        fz = 0.5 * float(resid_z @ resid_z) + lam * float(np.abs(s).sum())
+        if fz <= fx:
+            x_new, hx_new, resid_new, fx_new = z, hz, resid_z, fz
+        else:
+            x_new, hx_new, resid_new, fx_new = x, hx, resid_x, fx
+            rejected += 1
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        a, b = t_mom / t_next, (t_mom - 1.0) / t_next
+        y = x_new + a * (z - x_new) + b * (x_new - x)
+        hy = hx_new + a * (hz - hx_new) + b * (hx_new - hx)
+        x, hx, resid_x, fx, t_mom = x_new, hx_new, resid_new, fx_new, t_next
+        objectives.append(fx)
+        residual_norms.append(float(np.linalg.norm(resid_x)))
+    return x, objectives, residual_norms, rejected
+
+
+@pytest.mark.parametrize("step_scale, rejects", [(1.0, False), (1.9, True)], ids=["1/L", "1.9/L"])
+def test_fista_matches_straight_line_loop_exactly(step_scale, rejects):
+    # the solver forms the gradient step in place and drops the momentum
+    # formula's zero term; that changes no value, only the sign of an exact
+    # zero in y, which np.array_equal does not tell apart
+    model = small_model(seed=12)
+    t = SparsifyingTransform(8, 8, 4)
+    g = np.random.default_rng(12).standard_normal(model.m)
+    lam, iters = 0.05, 20
+    step = step_scale / operator_norm_squared(model)
+    x_ref, obj_ref, res_ref, rejected = straight_line_fista(g, model, t, lam, step, iters)
+    assert (rejected > 0) == rejects and rejected < iters
+    f_hat, trace = fista_run(g, model, t, L1Config(lam=lam, max_iter=iters, step=step))
+    assert np.array_equal(f_hat, x_ref)
+    assert trace.objective == obj_ref
+    assert trace.residual_norm == res_ref
 
 
 def test_power_method_permutation_embedding():
@@ -265,6 +324,26 @@ def test_sweep_lambda_reports_every_value():
     for _, f_hat, trace in results:
         assert f_hat.shape == (model.n,)
         assert len(trace) == 15
+
+
+@pytest.mark.parametrize(
+    "lambdas, max_iter",
+    [([0.1, 0.01, float("nan")], 200), ([0.1, -1.0], 200), ([0.1], 0)],
+    ids=["nan-last", "negative", "max_iter-0"],
+)
+def test_sweep_lambda_checks_every_config_before_any_work(monkeypatch, lambdas, max_iter):
+    calls = {}
+    monkeypatch.setattr("cassirecon.fista.fista_run", counting(calls, "solve", fista_run))
+    monkeypatch.setattr(
+        "cassirecon.fista.operator_norm_squared",
+        counting(calls, "power method", operator_norm_squared),
+    )
+    model = small_model(seed=9)
+    t = SparsifyingTransform(8, 8, 4)
+    g = np.random.default_rng(9).standard_normal(model.m)
+    with pytest.raises(ValueError):
+        sweep_lambda(g, model, t, lambdas, max_iter=max_iter)
+    assert calls == {}
 
 
 def test_all_closed_apertures_reject_the_default_step():
