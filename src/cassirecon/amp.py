@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import flat_vector
+from .cubes import check_max_iter, flat_vector
 from .errors import DimensionError, check_float32_range
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
@@ -51,8 +51,7 @@ class AmpConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"damping factor must be in (0, 1], got {self.alpha}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_max_iter(self.max_iter)
 
 
 @dataclass(frozen=True)

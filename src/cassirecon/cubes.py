@@ -57,6 +57,12 @@ def check_seed(seed: int, what: str = "seed") -> None:
         raise ValueError(f"{what} must lie in [0, 2**64), got {seed}")
 
 
+def check_max_iter(max_iter: int) -> None:
+    """The one iteration-budget rule: an integer, Python or NumPy, of at least 1."""
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def measurement_shape(M: int, N: int, L: int, K: int) -> tuple[int, int, int]:
     """Shape (M, N+L+1, K) of the K detector frames of an M x N x L scene."""
     check_dims(M, N, L, K)

@@ -10,7 +10,8 @@ The loop builds few cube-sized temporaries. The gradient step
 y - step*grad is formed in place in the adjoint's output, and the momentum
 point follows the safeguard's branch: z + b*(z - x) when the candidate is
 accepted, x + a*(z - x) when it is rejected, the term of the general
-formula that is exactly zero left out.
+formula that is exactly zero left out. The trace's residual norm is the
+square root of the objective's own sum of squares, as NumPy's ``norm`` is.
 
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .amp import DEFAULT_MAX_ITER
-from .cubes import flat_vector
+from .cubes import check_max_iter, flat_vector
 from .errors import check_float32_range
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
@@ -52,8 +53,7 @@ class L1Config:
             raise ValueError(
                 f"regularization weight must be finite and nonnegative, got {self.lam}"
             )
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_max_iter(self.max_iter)
         if self.step is not None and not (np.isfinite(self.step) and self.step > 0.0):
             raise ValueError(f"step size must be finite and positive, got {self.step}")
 
@@ -99,13 +99,13 @@ def fista_run(
     trace = Trace.for_solver(truth, shape, "objective", "residual_norm")
 
     # H x and H y are carried by linearity, so each iteration applies H,
-    # H^T, Psi and Psi^T once; x = 0 gives H x = 0 and the objective 0.5*g.g
+    # H^T, Psi and Psi^T once; x = 0 gives H x = 0, so ||g - H x||^2 = g.g
     x = np.zeros(model.n)
     y = x
     hx = np.zeros(model.m)
     hy = hx
-    resid_x = g
-    fx = 0.5 * float(g @ g)
+    rx2 = float(g @ g)
+    fx = 0.5 * rx2
     t_mom = 1.0
     for it in range(1, config.max_iter + 1):
         start = time.perf_counter()
@@ -123,29 +123,27 @@ def fista_run(
             check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
+            rz2 = float(resid_z @ resid_z)
             # Psi is orthonormal, so ||Psi z||_1 = ||s||_1 up to rounding
-            fz = 0.5 * float(resid_z @ resid_z) + config.lam * l1
+            fz = 0.5 * rz2 + config.lam * l1
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
             a, b = t_mom / t_next, (t_mom - 1.0) / t_next
             # monotone safeguard: never accept an objective increase. The
-            # momentum point x_new + a*(z - x_new) + b*(x_new - x) then
-            # loses its zero term: z + b*(z - x), or x + a*(z - x)
+            # momentum point x' + a*(z - x') + b*(x' - x), with x' the kept
+            # iterate, then loses its zero term: z + b*(z - x), or x + a*(z - x)
             y = z - x
             hy = hz - hx
             if fz <= fx:
-                x_new, hx_new, resid_new, fx_new = z, hz, resid_z, fz
+                x, hx, rx2, fx = z, hz, rz2, fz
                 y *= b
                 hy *= b
             else:
-                x_new, hx_new, resid_new, fx_new = x, hx, resid_x, fx
                 y *= a
                 hy *= a
-            y += x_new
-            hy += hx_new
-        x, hx, resid_x, fx, t_mom = x_new, hx_new, resid_new, fx_new, t_next
-        trace.append_iteration(
-            start, x, objective=fx, residual_norm=float(np.linalg.norm(resid_x))
-        )
+            y += x
+            hy += hx
+        t_mom = t_next
+        trace.append_iteration(start, x, objective=fx, residual_norm=float(np.sqrt(rx2)))
     return x, trace
 
 

@@ -157,23 +157,18 @@ def _dct_matrix(L: int) -> np.ndarray:
 def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply ``D`` along the last axis; the result is a Fortran-ordered cube.
 
-    On the Fortran-ordered (M*N, L) view X, ``(D @ X.T).T`` keeps that order,
-    so the reshape back to (M, N, L) copies nothing. The result is fresh,
-    or written into ``out``, a Fortran-ordered cube of the same shape that
-    shares no memory with ``cube`` (``np.matmul`` would silently work
-    through a hidden copy).
+    One GEMM, ``D @ X.T`` on the Fortran-ordered (M*N, L) view X, writes
+    into the transposed (M*N, L) view of a Fortran-ordered cube, so neither
+    reshape copies. That cube is fresh, or ``out``, a Fortran-ordered cube
+    of the same shape that shares no memory with ``cube`` (``np.matmul``
+    would silently work through a hidden copy).
     """
     cube = np.asarray(cube, dtype=np.float64)
     X = cube.reshape((-1, cube.shape[-1]), order="F")
     if out is None:
-        return (D @ X.T).T.reshape(cube.shape, order="F")
+        out = np.empty(cube.shape, order="F")
     np.matmul(D, X.T, out=out.reshape(X.shape, order="F").T)
     return out
-
-
-def dct_spectral_forward(cube: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II along the spectral (last) axis of an (M, N, L) cube."""
-    return _spectral(cube, _dct_matrix(np.shape(cube)[-1]))
 
 
 def _out_cube(out: Optional[np.ndarray], source: np.ndarray) -> Optional[np.ndarray]:
@@ -241,7 +236,7 @@ class SparsifyingTransform:
         """Coefficient vector of a vectorized cube."""
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
-        out = dct_spectral_forward(cube)
+        out = _spectral(cube, _dct_matrix(self.bands))
         for chunk, buf in self._chunks(out):
             m, n = self.rows, self.cols
             for _ in range(self.levels):

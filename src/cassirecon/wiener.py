@@ -109,10 +109,9 @@ def _shrink(stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: np.ndar
     for a, b in chunks:
         size = M * N * (b - a)
         gain = total[1 : 1 + size].reshape((M, N, b - a), order="F")
-        for s, rc in enumerate(smap.blocks):
-            gain[rc] = gains[s, a:b]
         mu = mu_buf[:, :, : b - a]
         for s, rc in enumerate(smap.blocks):
+            gain[rc] = gains[s, a:b]
             mu[rc] = means[s, a:b]
         chunk = cube[:, :, a:b]
         chunk -= mu

@@ -290,6 +290,8 @@ def test_config_validation():
         AmpConfig(alpha=1.2)
     with pytest.raises(ValueError):
         AmpConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        AmpConfig(max_iter=2.5)
 
 
 def test_trace_records_every_iteration():

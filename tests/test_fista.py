@@ -176,11 +176,14 @@ def straight_line_fista(g, model, t, lam, step, iters):
     return x, objectives, residual_norms, rejected
 
 
-@pytest.mark.parametrize("step_scale, rejects", [(1.0, False), (1.9, True)], ids=["1/L", "1.9/L"])
+@pytest.mark.parametrize(
+    "step_scale, rejects", [(1.0, False), (1.9, True), (4.5, True)], ids=["1/L", "1.9/L", "4.5/L"]
+)
 def test_fista_matches_straight_line_loop_exactly(step_scale, rejects):
-    # the solver forms the gradient step in place and drops the momentum
-    # formula's zero term; that changes no value, only the sign of an exact
-    # zero in y, which np.array_equal does not tell apart
+    # the solver forms the gradient step in place, drops the momentum
+    # formula's zero term and carries ||g - H x||^2 instead of the residual;
+    # that changes no value, only the sign of an exact zero in y, which
+    # np.array_equal does not tell apart
     model = small_model(seed=12)
     t = SparsifyingTransform(8, 8, 4)
     g = np.random.default_rng(12).standard_normal(model.m)
@@ -192,6 +195,10 @@ def test_fista_matches_straight_line_loop_exactly(step_scale, rejects):
     assert np.array_equal(f_hat, x_ref)
     assert trace.objective == obj_ref
     assert trace.residual_norm == res_ref
+    if step_scale == 4.5:
+        # the first candidate is rejected, so row 1 reports x = 0 from the carried start
+        assert trace.objective[0] == 0.5 * float(g @ g)
+        assert trace.residual_norm[0] == float(np.linalg.norm(g))
 
 
 def test_power_method_permutation_embedding():
@@ -328,8 +335,8 @@ def test_sweep_lambda_reports_every_value():
 
 @pytest.mark.parametrize(
     "lambdas, max_iter",
-    [([0.1, 0.01, float("nan")], 200), ([0.1, -1.0], 200), ([0.1], 0)],
-    ids=["nan-last", "negative", "max_iter-0"],
+    [([0.1, 0.01, float("nan")], 200), ([0.1, -1.0], 200), ([0.1], 0), ([0.1], 2.5)],
+    ids=["nan-last", "negative", "max_iter-0", "max_iter-2.5"],
 )
 def test_sweep_lambda_checks_every_config_before_any_work(monkeypatch, lambdas, max_iter):
     calls = {}
