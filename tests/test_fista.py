@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cassirecon.errors import DivergenceError
+from cassirecon.errors import DimensionError, DivergenceError
 from cassirecon.fista import L1Config, fista_run, soft_threshold, sweep_lambda
 from cassirecon.metrics import Trace, add_noise
 from cassirecon.operator import (
@@ -83,6 +83,48 @@ def test_one_operator_and_transform_call_each_per_iteration(monkeypatch):
     )
     fista_run(g, model, t, L1Config(lam=0.05, max_iter=5, step=0.5))
     assert calls == {"H": 5, "H^T": 5, "Psi": 5, "Psi^T": 5}
+
+
+def test_fista_run_holds_four_cubes():
+    # the kept iterate and three working cubes: z reuses Psi's output and
+    # the next momentum point the thresholded coefficients (7.38 cubes
+    # with a fresh array per step)
+    M, N, L = 64, 512, 22
+    model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
+    t = SparsifyingTransform(M, N, L)
+    g = np.random.default_rng(22).standard_normal(model.m)
+    config = L1Config(lam=0.01, max_iter=3, step=0.1)
+    fista_run(g, model, t, config)  # first-use caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fista_run(g, model, t, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (8 * model.n) < 4.5
+
+
+@pytest.mark.parametrize(
+    "transform_dims, truth, message",
+    [
+        ((16, 16, 4), np.zeros(5), r"expected 1024 truth values, got 5"),
+        ((8, 8, 4), None, r"transform shape \(8, 8, 4\) differs from the model's \(16, 16, 4\)"),
+    ],
+    ids=["truth", "transform"],
+)
+def test_fista_run_checks_inputs_before_the_power_method(monkeypatch, transform_dims, truth, message):
+    calls = {}
+    monkeypatch.setattr(
+        "cassirecon.fista.operator_norm_squared",
+        counting(calls, "power method", operator_norm_squared),
+    )
+    model = CassiModel(generate_apertures(16, 16, 2, "complementary", 1), W, bands=4)
+    g = np.random.default_rng(1).standard_normal(model.m)
+    t = SparsifyingTransform(*transform_dims)
+    with pytest.raises(DimensionError, match=message):
+        fista_run(g, model, t, L1Config(lam=0.1, max_iter=2), truth=truth)
+    assert calls == {}
 
 
 def dense_fista(g, H, P, lam, step, iters):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cassirecon.amp import AmpTrace
 from cassirecon.errors import DimensionError
 from cassirecon.metrics import Trace, add_noise, avg_psnr, measure_snr, per_band_psnr
-from cassirecon.phantoms import PHANTOM_KINDS, phantom_cube
+from cassirecon.phantoms import PHANTOM_KINDS, _spectral_profile, phantom_cube
 from cassirecon.transforms import SparsifyingTransform, subband_map
 
 
@@ -124,6 +125,42 @@ def test_phantom_deterministic(kind):
     assert np.array_equal(a.values, b.values)
     c = phantom_cube(16, 16, 4, kind, seed=6)
     assert not np.array_equal(a.values, c.values)
+
+
+def broadcast_phantom(M, N, L, seed):
+    """The phantom as one broadcast expression per blob on a C-ordered cube."""
+    rng = np.random.default_rng(seed)
+    ii, jj = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
+    arr = np.zeros((M, N, L))
+    for _ in range(int(rng.integers(3, 9))):
+        ci = rng.uniform(0.15 * M, 0.85 * M)
+        cj = rng.uniform(0.15 * N, 0.85 * N)
+        width = rng.uniform(0.06, 0.18) * min(M, N)
+        amp = rng.uniform(0.4, 1.0)
+        spatial = np.exp(-((ii - ci) ** 2 + (jj - cj) ** 2) / (2.0 * width**2))
+        arr += amp * spatial[:, :, None] * _spectral_profile(rng, L)
+    return arr / arr.max()
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 16), (8, 64, 1), (6, 10, 5), (1, 1, 1)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_phantom_matches_broadcast_form_exactly(dims, seed):
+    assert np.array_equal(phantom_cube(*dims, seed=seed).as_array(), broadcast_phantom(*dims, seed))
+
+
+def test_phantom_holds_two_cubes():
+    # the Fortran-ordered accumulator and the frozen copy; a broadcast
+    # temporary and a C-ordered reshape copy would add two more (4.13 here)
+    dims = (64, 64, 16)
+    phantom_cube(*dims)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cube = phantom_cube(*dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / cube.values.nbytes < 2.5
 
 
 def test_phantom_unknown_kind():
