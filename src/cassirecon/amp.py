@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import check_max_iter, flat_vector
+from .cubes import check_max_iter, flat_vector, row_chunks
 from .errors import DimensionError, check_float32_range
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
@@ -90,10 +90,13 @@ def damp(new: np.ndarray, old: np.ndarray, alpha: float) -> np.ndarray:
     """Convex combination alpha*new + (1-alpha)*old, written over ``new``.
 
     ``new`` is taken as float64: a list or another dtype becomes a copy,
-    which is written and returned. ``(1-alpha)*old`` goes into one
-    temporary, ``new`` is scaled by alpha in place and the temporary is
-    added: the expression's three roundings, with one temporary instead of
-    two. ``old`` may be ``new`` itself; alpha=1 returns ``new`` untouched.
+    which is written and returned. The arrays are walked a row chunk at a
+    time (:func:`.cubes.row_chunks`): ``(1-alpha)*old`` of the chunk goes
+    into a chunk-sized temporary, the chunk of ``new`` is scaled by alpha in
+    place and the temporary is added. These are the expression's three
+    roundings, with no cube-sized temporary. ``old`` may be ``new`` itself,
+    since each chunk's tail is taken before the chunk is written; alpha=1
+    returns ``new`` untouched.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"damping factor must be in (0, 1], got {alpha}")
@@ -102,9 +105,11 @@ def damp(new: np.ndarray, old: np.ndarray, alpha: float) -> np.ndarray:
     if new.shape != old.shape:
         raise DimensionError(f"shape mismatch {new.shape} vs {old.shape}")
     if alpha < 1.0:
-        tail = (1.0 - alpha) * old
-        new *= alpha
-        new += tail
+        for chunk, old_chunk in zip(row_chunks(new), row_chunks(old)):
+            tail = (1.0 - alpha) * old_chunk
+            chunk *= alpha
+            chunk += tail
+            del tail  # freed before the next chunk's tail is made
     return new
 
 
@@ -145,9 +150,10 @@ def amp_iteration(
     start = time.perf_counter()
     t = state.t
     with np.errstate(over="ignore", invalid="ignore"):
-        # the residual, q and f_half are this iteration's own fresh arrays:
-        # each damp writes over its first argument and the denoiser over q,
-        # never over state.f or state.r
+        # the residual and q are this iteration's own fresh arrays: each damp
+        # writes over its first argument, and the denoiser runs Psi, the
+        # shrink and Psi^T in q's buffer, so f_half is q and at most two
+        # cubes are live, state.f and q; nothing writes over state.f or state.r
         r = damp(residual_step(state.f, state.r, state.deriv_mean, g, model), state.r, alpha)
         # damping keeps NaN and inf, but may pull a raw residual beyond the
         # range back into it; the noise estimate, mean(r^2), usually catches that

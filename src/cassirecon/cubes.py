@@ -82,8 +82,19 @@ def band_chunks(rows: int, cols: int, bands: int) -> list[tuple[int, int]]:
     Fortran order the bands ``a:b`` of an ``(M, N, L)`` array are one
     contiguous block, so a chunk stays in cache while it is worked on.
     """
-    step = max(1, CHUNK_BYTES // (rows * cols * 8))
+    step = max(1, CHUNK_BYTES // (8 * max(1, rows * cols)))
     return [(a, min(a + step, bands)) for a in range(0, bands, step)]
+
+
+def row_chunks(a: np.ndarray) -> list[np.ndarray]:
+    """Views of ``a`` along its first axis that cover it, a 0-d array as one row.
+
+    Each view spans at most :data:`CHUNK_BYTES` of ``a`` and at least one
+    row; basic slices are views whatever the layout, so writes reach ``a``.
+    """
+    a = np.atleast_1d(a)
+    step = max(1, CHUNK_BYTES // max(1, a[:1].nbytes))
+    return [a[i : i + step] for i in range(0, len(a), step)]
 
 
 def flat_vector(v, n: int, what: str) -> np.ndarray:

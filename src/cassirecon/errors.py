@@ -22,9 +22,15 @@ class DivergenceError(RuntimeError):
 
 
 def fits_float32(values) -> bool:
-    """Whether a float32 payload holds every one of ``values``; NaN and +-inf it cannot."""
+    """Whether a float32 payload holds every one of ``values``; NaN and +-inf it cannot.
+
+    The values are cast a row chunk at a time, so no cast copy of a whole
+    cube is made.
+    """
+    from .cubes import row_chunks  # cubes imports this module
+
     with np.errstate(over="ignore"):
-        return bool(np.all(np.isfinite(np.asarray(values).astype("<f4"))))
+        return all(np.isfinite(c.astype("<f4")).all() for c in row_chunks(np.asarray(values)))
 
 
 def check_float32_range(v, what: str, iteration: int, trace) -> None:

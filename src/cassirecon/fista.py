@@ -13,15 +13,17 @@ accepted, x + a*(z - x) when it is rejected, the term of the general
 formula that is exactly zero left out. The trace's residual norm is the
 square root of the objective's own sum of squares, as NumPy's ``norm`` is.
 
-At most four cubes are live: the kept iterate x and three buffers. The
-momentum point y is dropped once the gradient step v has read it, and v
-once Psi has read it. The later cubes reuse buffers the iteration has
-finished with: Psi^T writes z into Psi's output c, once |s| has been
-summed there, and the next momentum point z - x goes into the thresholded
-coefficients s. Each iteration allocates three cubes (v, c, s), and a
-rejected candidate's buffer is freed before the next adjoint allocates.
-A warm ``fista_run`` at 128x128x24, K=2 peaks at 4.01 cubes above its
-start under ``tracemalloc`` (7.40 with a fresh array per step).
+At most three cubes are live: the kept iterate x and two buffers. The
+momentum point y and its H y are dropped once the gradient step v has
+read them, and Psi writes its output c over v, which it alone reads.
+The later cubes reuse buffers the iteration has finished with: Psi^T
+writes z into c, once |s| has been summed there, and the next momentum
+point z - x goes into the thresholded coefficients s. Each iteration
+allocates two cubes (v, s), and a rejected candidate's buffer and the
+candidate's residual are freed before the next adjoint allocates. A warm
+``fista_run`` at 64x512x22, K=2 peaks at 3.47 cubes above its start
+under ``tracemalloc`` (3.91 with a fresh Psi output, 7.38 with a fresh
+array per step).
 
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
@@ -128,8 +130,10 @@ def fista_run(
             v = adjoint_apply(model, hy - g)
             v *= -step
             v += y
-            del y
-            c = transform.forward(v)
+            # y and H y are dead once the gradient step has read them
+            del y, hy
+            # Psi writes c over v, which it alone reads
+            c = transform.forward(v, out=v)
             del v
             s = soft_threshold(c, step * config.lam)
             # c is dead: |s| goes into it for the l1 term, then z
@@ -158,8 +162,9 @@ def fista_run(
                 hy *= a
             y += x
             hy += hx
-            # a rejected candidate is freed before the next adjoint allocates
-            del c, s, z
+            # a rejected candidate and the residual are freed before the next
+            # adjoint allocates
+            del c, s, z, hz, resid_z
         t_mom = t_next
         trace.append_iteration(start, x, objective=fx, residual_norm=float(np.sqrt(rx2)))
     return x, trace

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cubes import cube_view
+from .cubes import band_chunks, cube_view
 from .errors import DimensionError
 
 
@@ -57,14 +57,20 @@ def measure_snr(g_clean: np.ndarray, g_noisy: np.ndarray) -> float:
 
 
 def per_band_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0) -> np.ndarray:
-    """PSNR in dB of every spectral band of two (M, N, L) cubes; +inf where the MSE is zero."""
+    """PSNR in dB of every spectral band of two (M, N, L) cubes; +inf where the MSE is zero.
+
+    The per-band MSE is taken a band chunk at a time (:func:`.cubes.band_chunks`),
+    so the squared difference is never a cube-sized temporary.
+    """
     ref = np.asarray(ref_cube, dtype=np.float64)
     est = np.asarray(est_cube, dtype=np.float64)
     if ref.shape != est.shape or ref.ndim != 3:
         raise DimensionError(f"expected matching 3D cubes, got {ref.shape} vs {est.shape}")
     if not (np.isfinite(peak) and peak > 0.0):
         raise ValueError(f"peak must be positive and finite, got {peak}")
-    mse = np.mean((ref - est) ** 2, axis=(0, 1))
+    mse = np.empty(ref.shape[2])
+    for a, b in band_chunks(*ref.shape):
+        mse[a:b] = np.mean((ref[:, :, a:b] - est[:, :, a:b]) ** 2, axis=(0, 1))
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(peak * peak / mse)
 

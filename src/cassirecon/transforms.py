@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import band_chunks, check_dims, cube_view
+from .cubes import CHUNK_BYTES, band_chunks, check_dims, cube_view
 from .errors import DimensionError
 
 _SQRT2 = np.sqrt(2.0)
@@ -157,22 +157,40 @@ def _dct_matrix(L: int) -> np.ndarray:
 def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply ``D`` along the last axis; the result is a Fortran-ordered cube.
 
-    One GEMM, ``D @ X.T`` on the Fortran-ordered (M*N, L) view X, writes
-    into the transposed (M*N, L) view of a Fortran-ordered cube, so neither
-    reshape copies. That cube is fresh, or ``out``, a Fortran-ordered cube
-    of the same shape that shares no memory with ``cube`` (``np.matmul``
-    would silently work through a hidden copy).
+    The Fortran-ordered (M*N, L) view X of ``cube`` is worked a pixel block
+    at a time: the block's columns of ``X.T`` are copied into one reused
+    (L, width) buffer, and one GEMM, ``D @ buffer``, writes the same pixels
+    of the transposed (M*N, L) view of the result, so no reshape copies.
+    The result is a fresh cube or ``out``, a Fortran-ordered cube of the
+    same shape that is ``cube`` itself or shares no memory with it: a block
+    is read whole before its pixels are written.
+
+    The buffer spans at most :data:`.cubes.CHUNK_BYTES`, rounded down to a
+    multiple of 64 pixels (at least 64). The blocks give the one GEMM's
+    bits whenever M*N is a multiple of 16, and trivially when the view
+    fits in one block; elsewhere OpenBLAS may differ in the last bits.
     """
     cube = np.asarray(cube, dtype=np.float64)
     X = cube.reshape((-1, cube.shape[-1]), order="F")
     if out is None:
         out = np.empty(cube.shape, order="F")
-    np.matmul(D, X.T, out=out.reshape(X.shape, order="F").T)
+    Y = out.reshape(X.shape, order="F")
+    pixels, bands = X.shape
+    width = max(64, CHUNK_BYTES // (8 * bands) // 64 * 64)
+    buf = np.empty((bands, min(width, pixels)))
+    for a in range(0, pixels, width):
+        block = buf[:, : min(width, pixels - a)]
+        np.copyto(block, X[a : a + width].T)
+        np.matmul(D, block, out=Y[a : a + width].T)
     return out
 
 
 def _out_cube(out: Optional[np.ndarray], source: np.ndarray) -> Optional[np.ndarray]:
-    """``out`` viewed as a cube of ``source``'s shape, once it is checked usable."""
+    """``out`` viewed as a cube of ``source``'s shape, once it is checked usable.
+
+    ``out`` may be ``source``'s own buffer (the same first byte, with
+    ``source`` Fortran-contiguous), but must not overlap it otherwise.
+    """
     if out is None:
         return None
     if not (
@@ -185,8 +203,9 @@ def _out_cube(out: Optional[np.ndarray], source: np.ndarray) -> Optional[np.ndar
         raise ValueError("out must be a writeable, contiguous, 1-D float64 array")
     if out.size != source.size:
         raise DimensionError(f"expected {source.size} output values, got {out.size}")
-    if np.shares_memory(out, source):
-        raise ValueError("out must not share memory with the coefficients")
+    same = source.flags.f_contiguous and out.ctypes.data == source.ctypes.data
+    if not same and np.shares_memory(out, source):
+        raise ValueError("out must not share memory with the input unless it is the input itself")
     return out.reshape(source.shape, order="F")
 
 
@@ -232,12 +251,18 @@ class SparsifyingTransform:
         for a, b in chunks:
             yield out[:, :, a:b], buf[:, :, : b - a]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Coefficient vector of a vectorized cube."""
+    def forward(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Coefficient vector of a vectorized cube.
+
+        The coefficients are a fresh array, or ``out`` when given: a
+        writeable, contiguous float64 vector of ``n`` values that is ``x``
+        itself or shares no memory with it. The result is the same bits
+        either way.
+        """
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
-        out = _spectral(cube, _dct_matrix(self.bands))
-        for chunk, buf in self._chunks(out):
+        coeffs = _spectral(cube, _dct_matrix(self.bands), _out_cube(out, cube))
+        for chunk, buf in self._chunks(coeffs):
             m, n = self.rows, self.cols
             for _ in range(self.levels):
                 # rows of the block into buf, then the columns of buf back into the chunk
@@ -247,16 +272,16 @@ class SparsifyingTransform:
                 )
                 m //= 2
                 n //= 2
-        return out.reshape(-1, order="F")
+        return coeffs.reshape(-1, order="F") if out is None else out
 
     def inverse(self, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Cube (flat) from a coefficient vector; exact inverse of ``forward``.
 
         The spectral inverse runs first: it commutes with the per-band
         wavelet and yields the array the wavelet levels then rebuild. That
-        array is fresh, or ``out`` when given: a writeable, contiguous
-        float64 vector of ``n`` values that shares no memory with
-        ``theta``. The result is the same bits either way.
+        array is fresh, or ``out`` when given, on the terms of ``forward``:
+        ``theta`` itself or a vector that shares no memory with it. The
+        result is the same bits either way.
         """
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")

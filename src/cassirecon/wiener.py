@@ -153,11 +153,14 @@ def denoise_cube(
 ) -> tuple[np.ndarray, float]:
     """Denoise a vectorized cube; returns (estimate, mean shrinkage gain).
 
-    The coefficients are shrunk in place: ``transform.forward`` returns a
-    fresh array. The estimate is fresh, or written into ``out`` (see
-    ``SparsifyingTransform.inverse``); ``q`` is read only by Psi, so
-    ``out=q`` is allowed and saves a cube. ``q`` is left alone otherwise.
-    ``smap`` must be the transform's own map, ``transform.subbands``.
+    Psi, the shrink and Psi^T all run in one buffer: ``transform.forward``
+    writes the coefficients into a fresh array, or into ``out`` when given,
+    the shrink works on them in place and ``transform.inverse`` writes the
+    estimate back over them. ``out`` follows the terms of
+    ``SparsifyingTransform.forward``: it may be ``q`` itself, which saves a
+    cube (AMP's call), or an array that shares no memory with ``q``, and
+    ``q`` is then left alone. ``smap`` must be the transform's own map,
+    ``transform.subbands``.
     """
     if smap != transform.subbands:
         layout = (transform.rows, transform.cols, transform.bands)
@@ -165,7 +168,7 @@ def denoise_cube(
             f"subband map of shape {smap.shape} with {len(smap.blocks)} blocks per band "
             f"does not fit a {layout} transform at {transform.levels} levels"
         )
-    theta = transform.forward(q)
+    theta = transform.forward(q, out=out)
     stats = estimate_stats(theta, smap)
     deriv = _shrink(stats, sigma2, smap, theta)
-    return transform.inverse(theta, out), deriv
+    return transform.inverse(theta, out=theta), deriv

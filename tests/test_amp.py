@@ -116,6 +116,16 @@ def test_damp_matches_the_expression(shape, alpha, seed):
     assert isinstance(listed, np.ndarray) and listed.dtype == np.float64
 
 
+def test_damp_writes_through_a_strided_view_across_chunks():
+    # rows of a 2-D view that is not contiguous, in several row chunks
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((200_000, 6))
+    new, old = base[:, ::2], rng.standard_normal((200_000, 3))
+    want = 0.3 * new + 0.7 * old
+    assert damp(new, old, 0.3) is new
+    assert np.array_equal(base[:, ::2], want)
+
+
 def test_pseudo_data_zero_residual():
     model = small_model()
     rng = np.random.default_rng(4)
@@ -241,10 +251,10 @@ def test_iteration_leaves_the_old_state_alone():
 
 
 def test_iteration_holds_three_cubes():
-    # with the old iterate as input, q (which becomes f_half) and Psi's
-    # output are the only other cube-sized arrays; the residual, the chunk
-    # scratch and the operator's temporaries are small. A fresh Psi^T
-    # output would make a third cube above the inputs (3.47 here).
+    # with the old iterate as input, q (which becomes f_half) is the only
+    # other cube-sized array; the residual, the chunk scratch and the
+    # operator's temporaries are small. A fresh Psi output makes a second
+    # cube, and a fresh Psi^T output on top a third (3.47 here).
     M, N, L = 64, 512, 22
     model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
     t, smap = setup_solver(model)
@@ -262,6 +272,26 @@ def test_iteration_holds_three_cubes():
     finally:
         tracemalloc.stop()
     assert (peak - before) / state.f.nbytes < 3.0
+
+
+def test_run_amp_holds_two_cubes():
+    # the old iterate and one working cube: q takes the adjoint's output,
+    # Psi, the shrink and Psi^T all run in its buffer, and the iterate's damp
+    # and float32 check work a row chunk at a time (3.36 cubes with Psi's
+    # fresh output and a cube-sized damp tail)
+    M, N, L = 256, 256, 24
+    model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
+    g = np.random.default_rng(23).standard_normal(model.m)
+    config = AmpConfig(max_iter=2)
+    run_amp(g, model, config)  # first-use caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_amp(g, model, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / (8 * model.n) < 2.5
 
 
 def test_run_single_iteration_matches_manual():

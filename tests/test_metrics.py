@@ -79,6 +79,15 @@ def test_psnr_translation_consistent():
     assert shifted == pytest.approx(per_band_psnr(ref, est)[0], rel=1e-12)
 
 
+def test_per_band_psnr_by_chunks_matches_whole_cube_expression(multi_chunk_shape):
+    rng = np.random.default_rng(9)
+    ref, est = (rng.random(multi_chunk_shape).copy(order="F") for _ in range(2))
+    est[:, :, 5] = ref[:, :, 5]  # one band of zero MSE
+    with np.errstate(divide="ignore"):
+        want = 10.0 * np.log10(4.0 / np.mean((ref - est) ** 2, axis=(0, 1)))
+    assert np.array_equal(per_band_psnr(ref, est, peak=2.0), want)
+
+
 def test_avg_psnr_mean_and_sentinels():
     rng = np.random.default_rng(5)
     ref = rng.random((4, 4, 2))

@@ -264,10 +264,10 @@ def test_stats_and_shrink_across_band_chunks_match_scalar_reference(multi_chunk_
 
 
 def test_denoise_cube_scratch_is_chunk_sized(multi_chunk_shape):
-    # Psi^T holds its input and its fresh output (two cubes); every other
-    # buffer of the call is chunk-sized. Cube-sized scratch (a ping-pong
-    # buffer, tap temporaries, filled gain and mean cubes) lifts the peak
-    # to four cubes.
+    # Psi's fresh output, which the shrink and Psi^T reuse, is the one
+    # cube-sized array; every other buffer of the call is chunk-sized.
+    # Cube-sized scratch (a ping-pong buffer, tap temporaries, filled gain
+    # and mean cubes) lifts the peak to four cubes.
     M, N, _ = multi_chunk_shape
     L = 22
     assert len(band_chunks(M, N, L)) >= 6
@@ -296,8 +296,9 @@ def test_denoise_cube_into_its_input_matches_fresh(multi_chunk_shape):
 
 
 def test_denoise_cube_into_its_input_holds_one_more_cube(multi_chunk_shape):
-    # Psi's output is the one cube-sized array of the call when Psi^T
-    # writes into q; a fresh Psi^T output adds a second
+    # Psi, the shrink and Psi^T all run in q's buffer, so the call makes no
+    # cube-sized array; a fresh Psi output adds one and a fresh Psi^T
+    # output a second
     M, N, _ = multi_chunk_shape
     L = 22
     t = SparsifyingTransform(M, N, L)
