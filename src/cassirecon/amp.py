@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import check_max_iter, flat_vector, row_chunks
-from .errors import DimensionError, check_float32_range
+from .cubes import check_float32_range, check_max_iter, flat_vector, row_chunks
+from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 
 
 WEIGHT_SUM_TOL = 1e-12
@@ -48,11 +48,13 @@ def check_dims(*dims: int) -> None:
 
 
 def check_seed(seed: int, what: str = "seed") -> None:
-    """The one seed rule: an integer in [0, 2**64).
+    """The one seed rule: an integer, Python or NumPy, in [0, 2**64).
 
     NumPy's generators reject negative seeds and the measurement header
     stores the seed as an unsigned 64-bit field.
     """
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"{what} must lie in [0, 2**64), got {seed}")
 
@@ -61,6 +63,30 @@ def check_max_iter(max_iter: int) -> None:
     """The one iteration-budget rule: an integer, Python or NumPy, of at least 1."""
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
+def fits_float32(values) -> bool:
+    """The one divergence rule: a float32 payload holds every one of ``values``.
+
+    NaN and +-inf it cannot. The values are cast a row chunk at a time, so
+    no cast copy of a whole cube is made.
+    """
+    with np.errstate(over="ignore"):
+        return all(np.isfinite(c.astype("<f4")).all() for c in row_chunks(np.asarray(values)))
+
+
+def check_float32_range(v, what: str, iteration: int, trace) -> None:
+    """Raise :class:`DivergenceError` unless :func:`fits_float32` holds for ``v``.
+
+    ``what`` names the stage in the message; ``iteration`` and the partial
+    ``trace`` travel with the error.
+    """
+    if not fits_float32(v):
+        raise DivergenceError(
+            f"values beyond the float32 range in {what} at iteration {iteration}",
+            iteration=iteration,
+            trace=trace,
+        )
 
 
 def measurement_shape(M: int, N: int, L: int, K: int) -> tuple[int, int, int]:
@@ -123,9 +149,10 @@ def _freeze_values(owner, n: int, what: str) -> None:
 class DispersionWeights:
     """Energy fractions (w0, w1, w2) landing on the 3 dispersed columns.
 
-    Must be finite, nonnegative and sum to 1 (total energy is preserved). Setting
-    (0, 1, 0) collapses the model to a single-diagonal, first-order system
-    while keeping the same detector width.
+    Must be finite, nonnegative and sum to 1 (total energy is preserved),
+    and are kept as the floats these checks read. Setting (0, 1, 0)
+    collapses the model to a single-diagonal, first-order system while
+    keeping the same detector width.
     """
 
     w0: float
@@ -138,6 +165,8 @@ class DispersionWeights:
             raise ValueError(f"dispersion weights must be finite and nonnegative, got {w}")
         if abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"dispersion weights must sum to 1, got sum={sum(w)!r}")
+        for name, x in zip(("w0", "w1", "w2"), w):
+            object.__setattr__(self, name, x)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.w0, self.w1, self.w2)
@@ -204,7 +233,7 @@ class MeasurementSet:
     sigma_noise: float = 0.0
 
     def __post_init__(self):
-        DispersionWeights(*self.weights)
+        object.__setattr__(self, "weights", DispersionWeights(*self.weights).as_tuple())
         if not (math.isfinite(self.sigma_noise) and self.sigma_noise >= 0.0):
             raise ValueError(f"sigma_noise must be finite and >= 0, got {self.sigma_noise}")
         check_seed(self.seed)

@@ -26,8 +26,8 @@ from typing import Union
 
 import numpy as np
 
-from .cubes import HyperCube, MeasurementSet, measurement_count
-from .errors import DimensionError, fits_float32
+from .cubes import HyperCube, MeasurementSet, fits_float32, measurement_count
+from .errors import DimensionError
 from .operator import CodedApertureSet
 
 CUBE_MAGIC = b"HSC1"

@@ -16,14 +16,12 @@ square root of the objective's own sum of squares, as NumPy's ``norm`` is.
 At most three cubes are live: the kept iterate x and two buffers. The
 momentum point y and its H y are dropped once the gradient step v has
 read them, and Psi writes its output c over v, which it alone reads.
-The later cubes reuse buffers the iteration has finished with: Psi^T
-writes z into c, once |s| has been summed there, and the next momentum
-point z - x goes into the thresholded coefficients s. Each iteration
-allocates two cubes (v, s), and a rejected candidate's buffer and the
-candidate's residual are freed before the next adjoint allocates. A warm
-``fista_run`` at 64x512x22, K=2 peaks at 3.47 cubes above its start
-under ``tracemalloc`` (3.91 with a fresh Psi output, 7.38 with a fresh
-array per step).
+Psi^T writes the candidate z over the thresholded coefficients s, and
+the next momentum point z - x goes into c, once |s| has been summed
+there. Each iteration allocates two cubes (v, s), and a rejected
+candidate and its residual are freed before the next adjoint allocates.
+A warm ``fista_run`` at 64x512x22, K=2 peaks at 3.47 cubes above its
+start under ``tracemalloc``.
 
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
@@ -39,8 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .amp import DEFAULT_MAX_ITER
-from .cubes import check_max_iter, flat_vector
-from .errors import DimensionError, check_float32_range
+from .cubes import check_float32_range, check_max_iter, flat_vector
+from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply, operator_norm_squared
@@ -136,9 +134,10 @@ def fista_run(
             c = transform.forward(v, out=v)
             del v
             s = soft_threshold(c, step * config.lam)
-            # c is dead: |s| goes into it for the l1 term, then z
+            # c is dead: |s| goes into it for the l1 term, then the next
+            # momentum point; Psi^T writes z over s
             l1 = float(np.abs(s, out=c).sum())
-            z = transform.inverse(s, out=c)
+            z = transform.inverse(s, out=s)
             check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
@@ -150,8 +149,7 @@ def fista_run(
             # monotone safeguard: never accept an objective increase. The
             # momentum point x' + a*(z - x') + b*(x' - x), with x' the kept
             # iterate, then loses its zero term: z + b*(z - x), or x + a*(z - x)
-            # s is dead once Psi^T has read it
-            y = np.subtract(z, x, out=s)
+            y = np.subtract(z, x, out=c)
             hy = hz - hx
             if fz <= fx:
                 x, hx, rx2, fx = z, hz, rz2, fz

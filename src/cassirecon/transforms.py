@@ -161,9 +161,8 @@ def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None)
     at a time: the block's columns of ``X.T`` are copied into one reused
     (L, width) buffer, and one GEMM, ``D @ buffer``, writes the same pixels
     of the transposed (M*N, L) view of the result, so no reshape copies.
-    The result is a fresh cube or ``out``, a Fortran-ordered cube of the
-    same shape that is ``cube`` itself or shares no memory with it: a block
-    is read whole before its pixels are written.
+    The result is a fresh cube, or ``cube`` itself when ``out`` is ``cube``:
+    a block is read whole before its pixels are written.
 
     The buffer spans at most :data:`.cubes.CHUNK_BYTES`, rounded down to a
     multiple of 64 pixels (at least 64). The blocks give the one GEMM's
@@ -185,28 +184,22 @@ def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None)
     return out
 
 
-def _out_cube(out: Optional[np.ndarray], source: np.ndarray) -> Optional[np.ndarray]:
-    """``out`` viewed as a cube of ``source``'s shape, once it is checked usable.
-
-    ``out`` may be ``source``'s own buffer (the same first byte, with
-    ``source`` Fortran-contiguous), but must not overlap it otherwise.
-    """
+def _in_place(out, source) -> bool:
+    """Whether to write over ``source``: ``out`` must be ``None`` or ``source`` itself."""
     if out is None:
-        return None
+        return False
     if not (
-        isinstance(out, np.ndarray)
+        out is source
+        and isinstance(out, np.ndarray)
         and out.dtype == np.float64
         and out.ndim == 1
         and out.flags.c_contiguous
         and out.flags.writeable
     ):
-        raise ValueError("out must be a writeable, contiguous, 1-D float64 array")
-    if out.size != source.size:
-        raise DimensionError(f"expected {source.size} output values, got {out.size}")
-    same = source.flags.f_contiguous and out.ctypes.data == source.ctypes.data
-    if not same and np.shares_memory(out, source):
-        raise ValueError("out must not share memory with the input unless it is the input itself")
-    return out.reshape(source.shape, order="F")
+        raise ValueError(
+            "out must be None or the input itself, a writeable, contiguous, 1-D float64 vector"
+        )
+    return True
 
 
 @dataclass(frozen=True)
@@ -254,14 +247,13 @@ class SparsifyingTransform:
     def forward(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Coefficient vector of a vectorized cube.
 
-        The coefficients are a fresh array, or ``out`` when given: a
-        writeable, contiguous float64 vector of ``n`` values that is ``x``
-        itself or shares no memory with it. The result is the same bits
-        either way.
+        The coefficients are a fresh array, or are written over ``x`` when
+        ``out`` is ``x`` itself, a writeable, contiguous, 1-D float64
+        vector. The result is the same bits either way.
         """
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
-        coeffs = _spectral(cube, _dct_matrix(self.bands), _out_cube(out, cube))
+        coeffs = _spectral(cube, _dct_matrix(self.bands), cube if _in_place(out, x) else None)
         for chunk, buf in self._chunks(coeffs):
             m, n = self.rows, self.cols
             for _ in range(self.levels):
@@ -279,13 +271,12 @@ class SparsifyingTransform:
 
         The spectral inverse runs first: it commutes with the per-band
         wavelet and yields the array the wavelet levels then rebuild. That
-        array is fresh, or ``out`` when given, on the terms of ``forward``:
-        ``theta`` itself or a vector that shares no memory with it. The
-        result is the same bits either way.
+        array is fresh, or ``theta`` itself when ``out`` is ``theta``, on
+        the terms of ``forward``. The result is the same bits either way.
         """
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
-        cube = _spectral(coeffs, _dct_matrix(self.bands).T, _out_cube(out, coeffs))
+        cube = _spectral(coeffs, _dct_matrix(self.bands).T, coeffs if _in_place(out, theta) else None)
         for chunk, buf in self._chunks(cube):
             for j in range(self.levels, 0, -1):
                 m, n = self.rows >> (j - 1), self.cols >> (j - 1)

@@ -154,13 +154,12 @@ def denoise_cube(
     """Denoise a vectorized cube; returns (estimate, mean shrinkage gain).
 
     Psi, the shrink and Psi^T all run in one buffer: ``transform.forward``
-    writes the coefficients into a fresh array, or into ``out`` when given,
-    the shrink works on them in place and ``transform.inverse`` writes the
-    estimate back over them. ``out`` follows the terms of
-    ``SparsifyingTransform.forward``: it may be ``q`` itself, which saves a
-    cube (AMP's call), or an array that shares no memory with ``q``, and
-    ``q`` is then left alone. ``smap`` must be the transform's own map,
-    ``transform.subbands``.
+    writes the coefficients into a fresh array, or over ``q`` when ``out``
+    is ``q`` itself (AMP's call, which saves a cube), the shrink works on
+    them in place and ``transform.inverse`` writes the estimate back over
+    them. ``out`` follows the terms of ``SparsifyingTransform.forward``;
+    without it ``q`` is left alone. ``smap`` must be the transform's own
+    map, ``transform.subbands``.
     """
     if smap != transform.subbands:
         layout = (transform.rows, transform.cols, transform.bands)

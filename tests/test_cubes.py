@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from cassirecon import fileio
 from cassirecon.cubes import (
     CHUNK_BYTES,
+    DispersionWeights,
     HyperCube,
     MeasurementSet,
     band_chunks,
     cube_view,
+    fits_float32,
     measurement_shape,
+    row_chunks,
 )
 from cassirecon.errors import DimensionError
 
@@ -102,12 +106,27 @@ def test_cube_values_are_immutable():
         ("sigma_noise", -0.1),
         ("seed", -1),
         ("seed", 2**64),
+        ("seed", 2.5),
     ],
 )
 def test_measurement_set_checks_every_header_field(field, value):
     # each field the HSM1 header stores is checked, so write -> read always works
     with pytest.raises(ValueError, match="weights" if field == "weights" else field):
         MeasurementSet(1, 2, 2, 1, np.zeros(8), **{field: value})
+
+
+def test_measurement_set_keeps_the_floats_it_checks(tmp_path):
+    # the checks read the weights as floats, and those floats are what the
+    # file stores; a NumPy integer is a seed
+    weights = ("0.25", "0.5", "0.25")
+    assert DispersionWeights(*weights).as_tuple() == (0.25, 0.5, 0.25)
+    ms = MeasurementSet(1, 2, 2, 1, np.zeros(8), weights=weights, seed=np.uint64(2**64 - 1))
+    path = tmp_path / "m.hsm"
+    fileio.write_measurements(path, ms)
+    back = fileio.read_measurements(path)
+    assert back.weights == (0.25, 0.5, 0.25)
+    assert all(type(w) is float for w in ms.weights + back.weights)
+    assert back.seed == 2**64 - 1
 
 
 def test_measurement_set_length_checked():
@@ -133,3 +152,25 @@ def test_band_chunks_tile_the_bands_within_the_budget(rows, cols, bands):
     band_bytes = rows * cols * 8
     assert widths[0] == 1 or widths[0] * band_bytes <= CHUNK_BYTES
     assert len(chunks) == 1 or (widths[0] + 1) * band_bytes > CHUNK_BYTES
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fits_float32_at_the_rounding_edge(sign):
+    # 2^128 - 2^103 is the midpoint between float32's largest value and 2^128,
+    # so the cast rounds it to inf; its float64 predecessor rounds down
+    edge = sign * (2.0**128 - 2.0**103)
+    assert not fits_float32(edge)
+    assert fits_float32(np.nextafter(edge, 0.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fits_float32_rejects_nan_and_inf(value):
+    assert not fits_float32([0.0, value])
+
+
+def test_fits_float32_reads_every_row_chunk():
+    v = np.zeros(2 * CHUNK_BYTES // 8 + 5)
+    assert len(row_chunks(v)) == 3
+    assert fits_float32(v)
+    v[-1] = 1e39
+    assert not fits_float32(v)
