@@ -136,6 +136,33 @@ def cube_view(v, shape: tuple[int, ...], what: str) -> np.ndarray:
     return flat_vector(v, math.prod(shape), what).reshape(shape, order="F")
 
 
+def is_out_vector(out) -> bool:
+    """Whether ``out`` is a writeable, contiguous, 1-D float64 vector.
+
+    Only such a vector can take a result through :func:`cube_view`, which
+    views it without a copy; any other array would be copied and the
+    result written into the copy.
+    """
+    return (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.ndim == 1
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    )
+
+
+def in_place(out, source) -> bool:
+    """Whether to write over ``source``: ``out`` must be ``None`` or ``source`` itself."""
+    if out is None:
+        return False
+    if not (out is source and is_out_vector(out)):
+        raise ValueError(
+            "out must be None or the input itself, a writeable, contiguous, 1-D float64 vector"
+        )
+    return True
+
+
 def _freeze_values(owner, n: int, what: str) -> None:
     """Replace ``owner.values`` with a read-only, finite float64 copy of length ``n``."""
     v = flat_vector(owner.values, n, what).copy()

@@ -6,22 +6,20 @@ kept and the momentum sequence continues from it, so the recorded objective
 is nonincreasing. Because Psi is orthonormal, the prox of lam*||Psi . ||_1
 is exactly Psi^T o soft_threshold o Psi.
 
-The loop builds few cube-sized temporaries. The gradient step
-y - step*grad is formed in place in the adjoint's output, and the momentum
-point follows the safeguard's branch: z + b*(z - x) when the candidate is
-accepted, x + a*(z - x) when it is rejected, the term of the general
-formula that is exactly zero left out. The trace's residual norm is the
-square root of the objective's own sum of squares, as NumPy's ``norm`` is.
-
-At most three cubes are live: the kept iterate x and two buffers. The
-momentum point y and its H y are dropped once the gradient step v has
-read them, and Psi writes its output c over v, which it alone reads.
-Psi^T writes the candidate z over the thresholded coefficients s, and
-the next momentum point z - x goes into c, once |s| has been summed
-there. Each iteration allocates two cubes (v, s), and a rejected
-candidate and its residual are freed before the next adjoint allocates.
-A warm ``fista_run`` at 64x512x22, K=2 peaks at 3.47 cubes above its
-start under ``tracemalloc``.
+The loop holds two cubes between iterations, the kept iterate x and the
+momentum point y, and every step writes over one of them. The adjoint
+adds the gradient step -step * H^T(H y - g) into y, which becomes v; Psi
+writes its coefficients c over v, the soft threshold writes s over c,
+and Psi^T writes the candidate z over s. The momentum point then goes
+over the dead cube: z + b*(z - x) over the old x when the candidate is
+accepted, x + a*(z - x) over z when it is rejected, the term of the
+general formula that is exactly zero left out. The l1 term adds the
+sums of |s| over :func:`.cubes.row_chunks` in order, so no cube-sized
+|s| is made. The trace's residual norm is the square root of the
+objective's own sum of squares, as NumPy's ``norm`` is. A warm
+``fista_run`` at 64x512x22, K=2 peaks at 2.51 cubes above its start
+under ``tracemalloc``; the rest of a cube is the adjoint's and Psi's
+chunk scratch.
 
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
@@ -37,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .amp import DEFAULT_MAX_ITER
-from .cubes import check_float32_range, check_max_iter, flat_vector
+from .cubes import check_float32_range, check_max_iter, flat_vector, in_place, row_chunks
 from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
@@ -68,19 +66,26 @@ class L1Config:
             raise ValueError(f"step size must be finite and positive, got {self.step}")
 
 
-def soft_threshold(theta: np.ndarray, tau: float) -> np.ndarray:
-    """Elementwise sign(x) * max(|x| - tau, 0); ``theta`` is not modified.
+def soft_threshold(theta: np.ndarray, tau: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Elementwise sign(x) * max(|x| - tau, 0), fresh or written over ``theta``.
 
-    Built in one temporary: the magnitude is shrunk in place and takes the
-    sign of ``theta`` back with ``copysign``, so ``-0.0`` maps to ``-0.0``.
+    The result is a fresh copy of ``theta``, or ``theta`` itself when
+    ``out`` is ``theta``, a writeable, contiguous, 1-D float64 vector; any
+    other ``out`` raises ``ValueError``. It is shrunk a
+    :func:`.cubes.row_chunks` chunk at a time: the magnitude in one
+    chunk-sized temporary, which takes the sign back with ``copysign``, so
+    ``-0.0`` maps to ``-0.0``. Both forms give the same bits.
     """
     if tau < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    theta = np.asarray(theta, dtype=np.float64)
-    out = np.abs(theta)
-    out -= tau
-    np.maximum(out, 0.0, out=out)
-    return np.copysign(out, theta, out=out)
+    if not in_place(out, theta):
+        theta = np.array(theta, dtype=np.float64)
+    for chunk in row_chunks(theta):
+        shrunk = np.abs(chunk)
+        shrunk -= tau
+        np.maximum(shrunk, 0.0, out=shrunk)
+        np.copysign(shrunk, chunk, out=chunk)
+    return theta
 
 
 def _lipschitz_step(model: CassiModel) -> float:
@@ -114,9 +119,9 @@ def fista_run(
     # H x and H y are carried by linearity, so each iteration applies H,
     # H^T, Psi and Psi^T once; x = 0 gives H x = 0, so ||g - H x||^2 = g.g
     x = np.zeros(model.n)
-    y = x
+    y = np.zeros(model.n)
     hx = np.zeros(model.m)
-    hy = hx
+    hy = np.zeros(model.m)
     rx2 = float(g @ g)
     fx = 0.5 * rx2
     t_mom = 1.0
@@ -124,45 +129,44 @@ def fista_run(
         start = time.perf_counter()
         # may overflow to inf near divergence; the monotone safeguard copes
         with np.errstate(over="ignore", invalid="ignore"):
-            # y - step * grad, formed in the adjoint's fresh output
-            v = adjoint_apply(model, hy - g)
-            v *= -step
-            v += y
-            # y and H y are dead once the gradient step has read them
-            del y, hy
-            # Psi writes c over v, which it alone reads
+            # y - step * grad, added by the adjoint into y; H y - g is formed
+            # over H y, which is then dead. Each later step writes over the
+            # cube it reads
+            v = adjoint_apply(model, np.subtract(hy, g, out=hy), out=y, scale=-step)
+            del hy
             c = transform.forward(v, out=v)
-            del v
-            s = soft_threshold(c, step * config.lam)
-            # c is dead: |s| goes into it for the l1 term, then the next
-            # momentum point; Psi^T writes z over s
-            l1 = float(np.abs(s, out=c).sum())
+            s = soft_threshold(c, step * config.lam, out=c)
+            l1 = 0.0
+            for chunk in row_chunks(s):
+                l1 += float(np.abs(chunk).sum())
             z = transform.inverse(s, out=s)
             check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
             rz2 = float(resid_z @ resid_z)
+            del resid_z
             # Psi is orthonormal, so ||Psi z||_1 = ||s||_1 up to rounding
             fz = 0.5 * rz2 + config.lam * l1
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
             a, b = t_mom / t_next, (t_mom - 1.0) / t_next
             # monotone safeguard: never accept an objective increase. The
             # momentum point x' + a*(z - x') + b*(x' - x), with x' the kept
-            # iterate, then loses its zero term: z + b*(z - x), or x + a*(z - x)
-            y = np.subtract(z, x, out=c)
+            # iterate, then loses its zero term: z + b*(z - x) over the old
+            # x, or x + a*(z - x) over the rejected z
             hy = hz - hx
             if fz <= fx:
+                y = np.subtract(z, x, out=x)
                 x, hx, rx2, fx = z, hz, rz2, fz
                 y *= b
                 hy *= b
             else:
+                y = np.subtract(z, x, out=z)
                 y *= a
                 hy *= a
             y += x
             hy += hx
-            # a rejected candidate and the residual are freed before the next
-            # adjoint allocates
-            del c, s, z, hz, resid_z
+            # a rejected candidate's H z is freed before the next adjoint
+            del hz
         t_mom = t_next
         trace.append_iteration(start, x, objective=fx, residual_norm=float(np.sqrt(rx2)))
     return x, trace

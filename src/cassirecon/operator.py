@@ -32,7 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import DispersionWeights, check_dims, cube_view, measurement_count, measurement_shape
+from .cubes import (
+    DispersionWeights,
+    band_chunks,
+    check_dims,
+    cube_view,
+    is_out_vector,
+    measurement_count,
+    measurement_shape,
+)
 from .errors import DimensionError
 
 MATERIALIZE_CAP = 40_000_000
@@ -176,17 +184,43 @@ def _forward(model: CassiModel, cube: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adjoint(model: CassiModel, frames: np.ndarray) -> np.ndarray:
-    """Exact transpose of :func:`_forward`: per shot, correlate then unshear."""
+def _adjoint(
+    model: CassiModel, frames: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0
+) -> np.ndarray:
+    """Exact transpose of :func:`_forward`, scaled: per shot, correlate then unshear.
+
+    Each shot's frame is correlated once. The bands are then worked a
+    :func:`.cubes.band_chunks` chunk at a time, shots outer and bands
+    inner, so every voxel adds its shots in order from +0.0. Without
+    ``out`` they accumulate in a fresh cube's chunk; with ``out`` (an
+    (M, N, L) cube) in one reused chunk buffer, which is then scaled and
+    added into ``out``'s chunk: ``out + scale * H^T g`` in two roundings.
+    """
     masks = model._masks
-    N, L, K = model.cols, model.bands, model.shots
-    out = np.zeros((model.rows, N, L), order="F")
+    M, N, L, K = model.rows, model.cols, model.bands, model.shots
+    chunks = band_chunks(M, N, L)
+    if out is None:
+        result = np.zeros((M, N, L), order="F")
+    else:
+        buf = np.empty((M, N, chunks[0][1]), order="F")
+    corr = np.empty((M, N + L - 1, K), order="F")
     for k in range(K):
-        corr = _correlate(model.weights, frames[:, :, k])
-        mask = masks[:, :, k]
-        for l in range(L):
-            out[:, :, l] += mask * corr[:, l : l + N]
-    return out
+        _correlate(model.weights, frames[:, :, k], out=corr[:, :, k])
+    for a, b in chunks:
+        if out is None:
+            acc = result[:, :, a:b]
+        else:
+            acc = buf[:, :, : b - a]
+            acc.fill(0.0)
+        for k in range(K):
+            mask, shot = masks[:, :, k], corr[:, :, k]
+            for l in range(a, b):
+                acc[:, :, l - a] += mask * shot[:, l : l + N]
+        if scale != 1.0:
+            acc *= scale
+        if out is not None:
+            out[:, :, a:b] += acc
+    return result if out is None else out
 
 
 def _overlap_counts(model: CassiModel) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +295,27 @@ def forward_apply(model: CassiModel, f: np.ndarray) -> np.ndarray:
     return _forward(model, cube).reshape(-1, order="F")
 
 
-def adjoint_apply(model: CassiModel, g: np.ndarray) -> np.ndarray:
-    """Apply the exact transpose of the operator to a measurement vector."""
+def adjoint_apply(
+    model: CassiModel, g: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0
+) -> np.ndarray:
+    """``scale`` times the exact transpose of the operator applied to ``g``.
+
+    The result is a fresh vector, or is added into ``out`` and ``out``
+    returned, as BLAS's ``y <- alpha A^T x + y``: the bits of
+    ``v = adjoint_apply(model, g); v *= scale; v += out``. ``out`` must be
+    a writeable, contiguous, 1-D float64 vector of ``model.n`` values;
+    anything else raises ``ValueError``. ``g`` is not modified.
+    """
     shape = measurement_shape(model.rows, model.cols, model.bands, model.shots)
-    return _adjoint(model, cube_view(g, shape, "measurements")).reshape(-1, order="F")
+    frames = cube_view(g, shape, "measurements")
+    if out is None:
+        return _adjoint(model, frames, scale=scale).reshape(-1, order="F")
+    if not (is_out_vector(out) and out.size == model.n):
+        raise ValueError(
+            f"out must be a writeable, contiguous, 1-D float64 vector of {model.n} values"
+        )
+    _adjoint(model, frames, cube_view(out, (model.rows, model.cols, model.bands), "out"), scale)
+    return out
 
 
 def materialize(model: CassiModel) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import CHUNK_BYTES, band_chunks, check_dims, cube_view
+from .cubes import CHUNK_BYTES, band_chunks, check_dims, cube_view, in_place
 from .errors import DimensionError
 
 _SQRT2 = np.sqrt(2.0)
@@ -158,48 +158,36 @@ def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None)
     """Apply ``D`` along the last axis; the result is a Fortran-ordered cube.
 
     The Fortran-ordered (M*N, L) view X of ``cube`` is worked a pixel block
-    at a time: the block's columns of ``X.T`` are copied into one reused
-    (L, width) buffer, and one GEMM, ``D @ buffer``, writes the same pixels
-    of the transposed (M*N, L) view of the result, so no reshape copies.
-    The result is a fresh cube, or ``cube`` itself when ``out`` is ``cube``:
-    a block is read whole before its pixels are written.
+    at a time: one GEMM, ``D @ X[block].T``, writes the same pixels of the
+    transposed (M*N, L) view of the result, so no reshape copies. The
+    result is a fresh cube, read straight from ``X``, or ``cube`` itself
+    when ``out`` is ``cube``: then each block's columns of ``X.T`` are
+    first copied into one reused (L, width) buffer, so a block is read
+    whole before its pixels are written.
 
-    The buffer spans at most :data:`.cubes.CHUNK_BYTES`, rounded down to a
+    A block spans at most :data:`.cubes.CHUNK_BYTES`, rounded down to a
     multiple of 64 pixels (at least 64). The blocks give the one GEMM's
-    bits whenever M*N is a multiple of 16, and trivially when the view
-    fits in one block; elsewhere OpenBLAS may differ in the last bits.
+    bits, with or without the buffer, whenever M*N is a multiple of 16,
+    and trivially when the view fits in one block; elsewhere OpenBLAS may
+    differ in the last bits.
     """
     cube = np.asarray(cube, dtype=np.float64)
     X = cube.reshape((-1, cube.shape[-1]), order="F")
-    if out is None:
-        out = np.empty(cube.shape, order="F")
-    Y = out.reshape(X.shape, order="F")
     pixels, bands = X.shape
     width = max(64, CHUNK_BYTES // (8 * bands) // 64 * 64)
-    buf = np.empty((bands, min(width, pixels)))
+    if out is None:
+        out = np.empty(cube.shape, order="F")
+        buf = None
+    else:
+        buf = np.empty((bands, min(width, pixels)))
+    Y = out.reshape(X.shape, order="F")
     for a in range(0, pixels, width):
-        block = buf[:, : min(width, pixels - a)]
-        np.copyto(block, X[a : a + width].T)
+        block = X[a : a + width].T
+        if buf is not None:
+            np.copyto(buf[:, : block.shape[1]], block)
+            block = buf[:, : block.shape[1]]
         np.matmul(D, block, out=Y[a : a + width].T)
     return out
-
-
-def _in_place(out, source) -> bool:
-    """Whether to write over ``source``: ``out`` must be ``None`` or ``source`` itself."""
-    if out is None:
-        return False
-    if not (
-        out is source
-        and isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.ndim == 1
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise ValueError(
-            "out must be None or the input itself, a writeable, contiguous, 1-D float64 vector"
-        )
-    return True
 
 
 @dataclass(frozen=True)
@@ -253,7 +241,7 @@ class SparsifyingTransform:
         """
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
-        coeffs = _spectral(cube, _dct_matrix(self.bands), cube if _in_place(out, x) else None)
+        coeffs = _spectral(cube, _dct_matrix(self.bands), cube if in_place(out, x) else None)
         for chunk, buf in self._chunks(coeffs):
             m, n = self.rows, self.cols
             for _ in range(self.levels):
@@ -276,7 +264,7 @@ class SparsifyingTransform:
         """
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
-        cube = _spectral(coeffs, _dct_matrix(self.bands).T, coeffs if _in_place(out, theta) else None)
+        cube = _spectral(coeffs, _dct_matrix(self.bands).T, coeffs if in_place(out, theta) else None)
         for chunk, buf in self._chunks(cube):
             for j in range(self.levels, 0, -1):
                 m, n = self.rows >> (j - 1), self.cols >> (j - 1)

@@ -420,7 +420,8 @@ def test_reconstruct_db4_with_truth_trace(tmp_path, solver_args):
         # a non-finite noise estimate (AMP) or iterate (FISTA) in iteration 1
         ("amp", "cassirecon.amp.noise_estimate", lambda r: float("nan"),
          "iter,sigma2,residual_norm,derivative_mean{psnr},wall_ms"),
-        ("fista", "cassirecon.fista.soft_threshold", lambda theta, tau: np.full_like(theta, np.nan),
+        ("fista", "cassirecon.fista.soft_threshold",
+         lambda theta, tau, out=None: np.full_like(theta, np.nan),
          "iter,objective,residual_norm{psnr},wall_ms"),
     ],
 )

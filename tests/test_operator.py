@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cassirecon.cubes import band_chunks
 from cassirecon.errors import DimensionError
 from cassirecon.operator import (
     CassiModel,
@@ -164,6 +165,96 @@ def test_adjoint_identity_property(instance):
     lhs = forward_apply(model, f) @ g
     rhs = f @ adjoint_apply(model, g)
     assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
+
+
+def loop_adjoint(model, g):
+    """H^T g as one plain loop: per shot, correlate the frame, then add one masked slice per band."""
+    M, N, L, K = model.rows, model.cols, model.bands, model.shots
+    w0, w1, w2 = model.weights.as_tuple()
+    frames = g.reshape((M, N + L + 1, K), order="F")
+    out = np.zeros((M, N, L), order="F")
+    for k in range(K):
+        frame = frames[:, :, k]
+        corr = w0 * frame[:, : N + L - 1]
+        corr += w1 * frame[:, 1 : N + L]
+        corr += w2 * frame[:, 2:]
+        mask = model.apertures.masks[k].astype(np.float64)
+        for l in range(L):
+            out[:, :, l] += mask * corr[:, l : l + N]
+    return out.reshape(-1, order="F")
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def sparse_measurements(model, seed):
+    """Measurements with a third of the samples exactly zero, so H^T g has zeros."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(model.m)
+    g[rng.random(model.m) < 1 / 3] = 0.0
+    return g
+
+
+# 64x512 float64 planes are a quarter of a chunk, so 22 bands span six chunks
+ACCUMULATE_MODELS = [
+    pytest.param((64, 512, 22, 2, "complementary"), id="six-chunks"),
+    pytest.param((12, 10, 5, 3, "random"), id="random-K3"),
+]
+
+
+@pytest.mark.parametrize("dims", ACCUMULATE_MODELS)
+def test_adjoint_matches_plain_loop(dims):
+    M, N, L, K, scheme = dims
+    model = make_model(M, N, L, K, scheme, seed=4)
+    assert len(band_chunks(M, N, L)) == (6 if M == 64 else 1)
+    g = sparse_measurements(model, 4)
+    assert_same_bits(adjoint_apply(model, g), loop_adjoint(model, g))
+
+
+@pytest.mark.parametrize("dims", ACCUMULATE_MODELS)
+def test_adjoint_accumulates_into_out(dims):
+    # out + scale * H^T g, with the bits of the fresh form scaled and added;
+    # zeros of either sign in out and in H^T g check the signed zeros
+    M, N, L, K, scheme = dims
+    model = make_model(M, N, L, K, scheme, seed=5)
+    rng = np.random.default_rng(5)
+    g = sparse_measurements(model, 5)
+    g_before = g.copy()
+    y0 = rng.standard_normal(model.n)
+    y0[rng.random(model.n) < 0.2] = 0.0
+    y0[rng.random(model.n) < 0.2] = -0.0
+    for scale in (-0.37, 1.0):
+        ref = adjoint_apply(model, g)
+        ref *= scale
+        ref += y0
+        y = y0.copy()
+        assert adjoint_apply(model, g, out=y, scale=scale) is y
+        assert_same_bits(y, ref)
+        assert_same_bits(g, g_before)
+
+
+def read_only_zeros(n):
+    out = np.zeros(n)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize(
+    "make_out",
+    [
+        read_only_zeros,
+        lambda n: np.zeros(2 * n)[::2],
+        lambda n: np.zeros(n, dtype=np.float32),
+        lambda n: np.zeros(n + 1),
+    ],
+    ids=["read-only", "strided", "float32", "wrong-length"],
+)
+def test_adjoint_rejects_out_it_cannot_write_through(make_out):
+    model = make_model(6, 8, 3, 2)
+    with pytest.raises(ValueError, match="out must be a writeable, contiguous, 1-D float64"):
+        adjoint_apply(model, np.ones(model.m), out=make_out(model.n))
 
 
 def test_linearity():
