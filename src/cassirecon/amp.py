@@ -168,9 +168,10 @@ def amp_iteration(
     f_next = damp(f_half, state.f, alpha)
     check_float32_range(f_next, "iterate", t, trace)
     if trace is not None:
+        # np.mean's pairwise sum, not a BLAS dot, whose bits follow the thread count
         trace.append_iteration(
-            start, f_next,
-            sigma2=sigma2, residual_norm=float(np.linalg.norm(r)), derivative_mean=deriv,
+            start, f_next, sigma2=sigma2,
+            residual_norm=float(np.sqrt(np.add.reduce(r * r))), derivative_mean=deriv,
         )
     return AmpState(f=f_next, r=r, sigma2=sigma2, deriv_mean=deriv, t=t + 1)
 

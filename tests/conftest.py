@@ -1,6 +1,27 @@
+import tracemalloc
+
 import pytest
 
 from cassirecon.cubes import CHUNK_BYTES, band_chunks
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes ``call()`` holds under ``tracemalloc`` above what was held at its start.
+
+    Warm-up calls, which fill first-use caches, stay in the tests.
+    """
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

@@ -1,4 +1,7 @@
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +253,7 @@ def test_iteration_leaves_the_old_state_alone():
             assert not np.shares_memory(a, b)
 
 
-def test_iteration_holds_three_cubes():
+def test_iteration_holds_three_cubes(traced_peak):
     # with the old iterate as input, q (which becomes f_half) is the only
     # other cube-sized array; the residual, the chunk scratch and the
     # operator's temporaries are small. A fresh Psi output makes a second
@@ -264,17 +267,11 @@ def test_iteration_holds_three_cubes():
     )
     g = rng.standard_normal(model.m)
     amp_iteration(state, g, model, t, smap, 0.2)  # first-use caches
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        amp_iteration(state, g, model, t, smap, 0.2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / state.f.nbytes < 3.0
+    peak = traced_peak(lambda: amp_iteration(state, g, model, t, smap, 0.2))
+    assert peak / state.f.nbytes < 3.0
 
 
-def test_run_amp_holds_two_cubes():
+def test_run_amp_holds_two_cubes(traced_peak):
     # the old iterate and one working cube: q takes the adjoint's output,
     # Psi, the shrink and Psi^T all run in its buffer, and the iterate's damp
     # and float32 check work a row chunk at a time (3.36 cubes with Psi's
@@ -284,14 +281,7 @@ def test_run_amp_holds_two_cubes():
     g = np.random.default_rng(23).standard_normal(model.m)
     config = AmpConfig(max_iter=2)
     run_amp(g, model, config)  # first-use caches
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run_amp(g, model, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / (8 * model.n) < 2.5
+    assert traced_peak(lambda: run_amp(g, model, config)) / (8 * model.n) < 2.5
 
 
 def test_run_single_iteration_matches_manual():
@@ -428,3 +418,31 @@ def test_run_rejects_wrong_lengths():
         run_amp(np.zeros(model.m + 3), model, AmpConfig(max_iter=1))
     with pytest.raises(DimensionError):
         run_amp(np.zeros(model.m), model, AmpConfig(max_iter=1), truth=np.zeros(5))
+
+
+def test_trace_bits_do_not_follow_the_blas_thread_count():
+    # m = 12,544 measurements: above 10,000 entries NumPy's norm is a threaded
+    # BLAS dot, whose last bits change with the thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = """
+from cassirecon import AmpConfig, CassiModel, DispersionWeights, add_noise, forward_apply
+from cassirecon import generate_apertures, phantom_cube, run_amp
+cube = phantom_cube(32, 32, 16, seed=0)
+model = CassiModel(generate_apertures(32, 32, 8, 'complementary', 0), DispersionWeights(0.25, 0.5, 0.25), bands=16)
+g, _ = add_noise(forward_apply(model, cube.values), 20.0, seed=0)
+print(run_amp(g, model, AmpConfig(max_iter=5))[1].to_csv(), end='')
+"""
+
+    def trace_rows(threads):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return [row.rsplit(",", 1)[0] for row in done.stdout.splitlines()]  # without wall_ms
+
+    one = trace_rows("1")
+    assert one[0] == "iter,sigma2,residual_norm,derivative_mean" and len(one) == 6
+    assert trace_rows("2") == one

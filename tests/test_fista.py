@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -126,24 +124,20 @@ def test_one_operator_and_transform_call_each_per_iteration(monkeypatch):
     assert calls == {"H": 5, "H^T": 5, "Psi": 5, "Psi^T": 5}
 
 
-def test_fista_run_holds_two_cubes():
+def test_fista_run_holds_two_cubes(traced_peak):
     # x and y: the adjoint adds the gradient step into y, and Psi, the soft
     # threshold and Psi^T write over it; the next momentum point goes over
-    # the old x or the rejected z
-    M, N, L = 64, 512, 22
-    model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
-    t = SparsifyingTransform(M, N, L)
-    g = np.random.default_rng(22).standard_normal(model.m)
-    config = L1Config(lam=0.01, max_iter=3, step=0.1)
-    fista_run(g, model, t, config)  # first-use caches
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fista_run(g, model, t, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / (8 * model.n) < 2.75
+    # the old x or the rejected z. At 128x128x24 a chunk is a third of a
+    # cube, so each layer's scratch shows: 2.81 cubes with a ping-pong buffer
+    # and product temporaries in Psi and Psi^T, a band-chunk buffer in the
+    # adjoint and two chunk temporaries in the soft threshold
+    for (M, N, L), bound in [((64, 512, 22), 2.75), ((128, 128, 24), 2.6)]:
+        model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
+        t = SparsifyingTransform(M, N, L)
+        g = np.random.default_rng(22).standard_normal(model.m)
+        config = L1Config(lam=0.01, max_iter=3, step=0.1)
+        fista_run(g, model, t, config)  # first-use caches
+        assert traced_peak(lambda: fista_run(g, model, t, config)) / (8 * model.n) < bound
 
 
 @pytest.mark.parametrize(
@@ -336,19 +330,12 @@ def test_power_method_matches_dense_norm_beyond_complementary_pairs(model):
     assert_matches_dense_norm(model)
 
 
-def test_power_method_memory_below_three_cubes_and_frames():
+def test_power_method_memory_below_three_cubes_and_frames(traced_peak):
     # K(K+1)/2 overlap-count planes: at K = L = 16 the table alone is about
     # 1.3 cubes, next to the frames and their correlation
     model = CassiModel(generate_apertures(64, 64, 16, "random", seed=3), W, bands=16)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        operator_norm_squared(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     cube, frames = 8 * model.n, 8 * model.m
-    assert peak - before < 3 * cube + frames
+    assert traced_peak(lambda: operator_norm_squared(model)) < 3 * cube + frames
 
 
 def test_large_lambda_drives_estimate_to_zero():

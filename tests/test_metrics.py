@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,19 +156,12 @@ def test_phantom_matches_broadcast_form_exactly(dims, seed):
     assert np.array_equal(phantom_cube(*dims, seed=seed).as_array(), broadcast_phantom(*dims, seed))
 
 
-def test_phantom_holds_two_cubes():
+def test_phantom_holds_two_cubes(traced_peak):
     # the Fortran-ordered accumulator and the frozen copy; a broadcast
     # temporary and a C-ordered reshape copy would add two more (4.13 here)
     dims = (64, 64, 16)
-    phantom_cube(*dims)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        cube = phantom_cube(*dims)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / cube.values.nbytes < 2.5
+    cube = phantom_cube(*dims)  # first-use caches
+    assert traced_peak(lambda: phantom_cube(*dims)) / cube.values.nbytes < 2.5
 
 
 def test_phantom_unknown_kind():

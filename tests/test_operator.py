@@ -235,6 +235,19 @@ def test_adjoint_accumulates_into_out(dims):
         assert_same_bits(g, g_before)
 
 
+def test_adjoint_accumulates_in_one_band_plane(traced_peak):
+    # the correlated frames, the band plane each voxel's shots add into and
+    # one mask product; a band-chunk buffer makes 1.44 MiB at 128x128x24.
+    # The allowance of a page covers the array objects
+    M, N, L, K = 128, 128, 24, 2
+    model = make_model(M, N, L, K)
+    g = np.random.default_rng(6).standard_normal(model.m)
+    y = np.zeros(model.n)
+    adjoint_apply(model, g, out=y, scale=-0.5)  # first-use caches
+    corr, plane = 8 * M * (N + L - 1) * K, 8 * M * N
+    assert traced_peak(lambda: adjoint_apply(model, g, out=y, scale=-0.5)) <= corr + 2 * plane + 4096
+
+
 def read_only_zeros(n):
     out = np.zeros(n)
     out.flags.writeable = False

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cassirecon.cubes import CHUNK_BYTES
 from cassirecon.errors import DimensionError
 from cassirecon.transforms import (
     WAVELET_FILTERS,
@@ -403,6 +404,19 @@ def test_psi_and_psi_t_in_place_match_fresh(multi_chunk_shape, wavelet, chunked)
     want_t = t.inverse(x)
     assert t.inverse(x, out=x) is x
     assert np.array_equal(x, want_t)
+
+
+@pytest.mark.parametrize("op", ["forward", "inverse"])
+def test_psi_and_psi_t_in_place_make_one_chunk_of_scratch(traced_peak, op):
+    # the spectral step's block buffer, then the wavelet levels' one buffer,
+    # which each split or merge reads while it writes over its own block; a
+    # ping-pong buffer with fresh Haar products on top makes about 2.1 MiB.
+    # At 128x128x24 a chunk is a third of the cube
+    t = SparsifyingTransform(128, 128, 24)
+    x = np.random.default_rng(21).standard_normal(t.n)
+    call = getattr(t, op)
+    call(x, out=x)  # first-use caches
+    assert traced_peak(lambda: call(x, out=x)) <= 1.3 * CHUNK_BYTES
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["D", "D.T"])

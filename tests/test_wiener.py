@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -263,7 +261,7 @@ def test_stats_and_shrink_across_band_chunks_match_scalar_reference(multi_chunk_
     assert shrink_derivative_mean(stats, sigma2, smap) == want_d
 
 
-def test_denoise_cube_scratch_is_chunk_sized(multi_chunk_shape):
+def test_denoise_cube_scratch_is_chunk_sized(multi_chunk_shape, traced_peak):
     # Psi's fresh output, which the shrink and Psi^T reuse, is the one
     # cube-sized array; every other buffer of the call is chunk-sized.
     # Cube-sized scratch (a ping-pong buffer, tap temporaries, filled gain
@@ -274,14 +272,7 @@ def test_denoise_cube_scratch_is_chunk_sized(multi_chunk_shape):
     t = SparsifyingTransform(M, N, L)
     smap = subband_map(M, N, L, t.levels)
     q = np.random.default_rng(13).standard_normal(t.n)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        denoise_cube(q, 0.5, t, smap)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / q.nbytes < 3.0
+    assert traced_peak(lambda: denoise_cube(q, 0.5, t, smap)) / q.nbytes < 3.0
 
 
 def test_denoise_cube_into_its_input_matches_fresh(multi_chunk_shape):
@@ -295,7 +286,7 @@ def test_denoise_cube_into_its_input_matches_fresh(multi_chunk_shape):
     assert np.array_equal(got, want) and deriv == want_deriv
 
 
-def test_denoise_cube_into_its_input_holds_one_more_cube(multi_chunk_shape):
+def test_denoise_cube_into_its_input_holds_one_more_cube(multi_chunk_shape, traced_peak):
     # Psi, the shrink and Psi^T all run in q's buffer, so the call makes no
     # cube-sized array; a fresh Psi output adds one and a fresh Psi^T
     # output a second
@@ -304,11 +295,4 @@ def test_denoise_cube_into_its_input_holds_one_more_cube(multi_chunk_shape):
     t = SparsifyingTransform(M, N, L)
     smap = subband_map(M, N, L, t.levels)
     q = np.random.default_rng(17).standard_normal(t.n)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        denoise_cube(q, 0.5, t, smap, out=q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / q.nbytes < 2.0
+    assert traced_peak(lambda: denoise_cube(q, 0.5, t, smap, out=q)) / q.nbytes < 2.0
