@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import check_float32_range, check_max_iter, flat_vector, row_chunks
+from .cubes import check_float32_range, check_max_iter, flat_vector, row_chunks, sum_of_squares
 from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
@@ -77,13 +77,16 @@ class AmpState:
 
 
 def noise_estimate(r: np.ndarray) -> float:
-    """Mean squared residual entry: the scalar-channel noise variance estimate."""
+    """Mean squared residual entry: the scalar-channel noise variance estimate.
+
+    :func:`.cubes.sum_of_squares` over the entry count, the bits of
+    ``np.mean(r * r)``; overflow to inf is left to the caller's
+    divergence check.
+    """
     r = np.asarray(r, dtype=np.float64).reshape(-1)
     if r.size < 1:
         raise DimensionError("residual must be non-empty")
-    # overflow to inf is handled by the caller's divergence check
-    with np.errstate(over="ignore"):
-        return float(np.mean(r * r))
+    return sum_of_squares(r) / r.size
 
 
 def damp(new: np.ndarray, old: np.ndarray, alpha: float) -> np.ndarray:
@@ -127,10 +130,12 @@ def residual_step(
 
 
 def pseudo_data(f: np.ndarray, r: np.ndarray, model: CassiModel) -> np.ndarray:
-    """Scalar-channel observation q = H^T r + f (step 3)."""
-    q = adjoint_apply(model, r)  # a fresh array
-    q += flat_vector(f, model.n, "cube values")
-    return q
+    """Scalar-channel observation q = H^T r + f (step 3), a fresh array.
+
+    The adjoint adds H^T r into a copy of ``f``; ``f + v`` and ``v + f``
+    are the same IEEE sum.
+    """
+    return adjoint_apply(model, r, out=flat_vector(f, model.n, "cube values").copy())
 
 
 def amp_iteration(
@@ -168,10 +173,9 @@ def amp_iteration(
     f_next = damp(f_half, state.f, alpha)
     check_float32_range(f_next, "iterate", t, trace)
     if trace is not None:
-        # np.mean's pairwise sum, not a BLAS dot, whose bits follow the thread count
         trace.append_iteration(
             start, f_next, sigma2=sigma2,
-            residual_norm=float(np.sqrt(np.add.reduce(r * r))), derivative_mean=deriv,
+            residual_norm=float(np.sqrt(sum_of_squares(r))), derivative_mean=deriv,
         )
     return AmpState(f=f_next, r=r, sigma2=sigma2, deriv_mean=deriv, t=t + 1)
 

@@ -75,6 +75,16 @@ def fits_float32(values) -> bool:
         return all(np.isfinite(c.astype("<f4")).all() for c in row_chunks(np.asarray(values)))
 
 
+def sum_of_squares(v: np.ndarray) -> float:
+    """The one sum-of-squares rule: NumPy's pairwise sum of ``v * v``.
+
+    Not a BLAS dot, whose last bits follow the thread count. Overflow to
+    inf is left to the caller's divergence check.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(v * v))
+
+
 def check_float32_range(v, what: str, iteration: int, trace) -> None:
     """Raise :class:`DivergenceError` unless :func:`fits_float32` holds for ``v``.
 

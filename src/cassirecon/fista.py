@@ -15,8 +15,9 @@ over the dead cube: z + b*(z - x) over the old x when the candidate is
 accepted, x + a*(z - x) over z when it is rejected, the term of the
 general formula that is exactly zero left out. The l1 term adds the
 sums of |s| over :func:`.cubes.row_chunks` in order, so no cube-sized
-|s| is made. The trace's residual norm is the square root of the
-objective's own sum of squares, as NumPy's ``norm`` is. Each layer
+|s| is made. The objective's sum of squares, whose square root is the
+trace's residual norm, is AMP's pairwise :func:`.cubes.sum_of_squares`,
+not a BLAS dot, whose bits follow the thread count. Each layer
 keeps at most one chunk of scratch, so a warm ``fista_run`` at
 128x128x24, K=2 peaks at 2.50 cubes above its start under ``tracemalloc``.
 
@@ -34,7 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .amp import DEFAULT_MAX_ITER
-from .cubes import check_float32_range, check_max_iter, flat_vector, in_place, row_chunks
+from .cubes import (
+    check_float32_range, check_max_iter, flat_vector, in_place, row_chunks, sum_of_squares,
+)
 from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
@@ -75,7 +78,7 @@ def soft_threshold(theta: np.ndarray, tau: float, out: Optional[np.ndarray] = No
     chunk-sized temporary, which takes the sign back with ``copysign``, so
     ``-0.0`` maps to ``-0.0``. Both forms give the same bits.
     """
-    if tau < 0.0:
+    if not (tau >= 0.0):
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     if not in_place(out, theta):
         theta = np.array(theta, dtype=np.float64)
@@ -117,12 +120,12 @@ def fista_run(
     step = config.step if config.step is not None else _lipschitz_step(model)
 
     # H x and H y are carried by linearity, so each iteration applies H,
-    # H^T, Psi and Psi^T once; x = 0 gives H x = 0, so ||g - H x||^2 = g.g
+    # H^T, Psi and Psi^T once; x = 0 gives H x = 0, so ||g - H x||^2 = ||g||^2
     x = np.zeros(model.n)
     y = np.zeros(model.n)
     hx = np.zeros(model.m)
     hy = np.zeros(model.m)
-    rx2 = float(g @ g)
+    rx2 = sum_of_squares(g)
     fx = 0.5 * rx2
     t_mom = 1.0
     for it in range(1, config.max_iter + 1):
@@ -143,7 +146,7 @@ def fista_run(
             check_float32_range(z, "iterate", it, trace)
             hz = forward_apply(model, z)
             resid_z = g - hz
-            rz2 = float(resid_z @ resid_z)
+            rz2 = sum_of_squares(resid_z)
             del resid_z
             # Psi is orthonormal, so ||Psi z||_1 = ||s||_1 up to rounding
             fz = 0.5 * rz2 + config.lam * l1

@@ -156,16 +156,13 @@ def _disperse(weights: DispersionWeights, sheared: np.ndarray, out: np.ndarray) 
     out[..., 2:] += w2 * sheared
 
 
-def _correlate(
-    weights: DispersionWeights, frames: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """W^T along the last axis: N+L+1 detector columns -> N+L-1 sheared columns."""
+def _correlate(weights: DispersionWeights, frames: np.ndarray, out: np.ndarray) -> None:
+    """W^T along the last axis into ``out``: N+L+1 detector columns -> N+L-1 sheared columns."""
     w0, w1, w2 = weights.as_tuple()
     width = frames.shape[-1] - 2
-    out = np.multiply(frames[..., :width], w0, out=out)
+    np.multiply(frames[..., :width], w0, out=out)
     out += w1 * frames[..., 1 : width + 1]
     out += w2 * frames[..., 2:]
-    return out
 
 
 def _forward(model: CassiModel, cube: np.ndarray) -> np.ndarray:
@@ -183,39 +180,28 @@ def _forward(model: CassiModel, cube: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adjoint(
-    model: CassiModel, frames: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0
-) -> np.ndarray:
-    """Exact transpose of :func:`_forward`, scaled: per shot, correlate then unshear.
+def _adjoint(model: CassiModel, frames: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """Add ``scale`` times the exact transpose of :func:`_forward` into ``out``.
 
     Each shot's frame is correlated once. The bands are then worked one at
-    a time, shots inner, so every voxel adds its shots in order from +0.0.
-    Without ``out`` they accumulate in a fresh cube's band; with ``out``
-    (an (M, N, L) cube) in one reused band plane, which is then scaled and
-    added into ``out``'s band: ``out + scale * H^T g`` in two roundings.
+    a time: one ``einsum`` sums the band's K shots in order from +0.0 into
+    one reused band plane, with no product temporary, and the plane is
+    scaled and added into ``out``'s band: ``out + scale * H^T g`` in two
+    roundings. ``out`` is an (M, N, L) cube.
     """
     masks = model._masks
     M, N, L, K = model.rows, model.cols, model.bands, model.shots
-    corr = np.empty((M, N + L - 1, K), order="F")
+    # one spare column keeps a 1x1x1 cube's shots apart in memory, so that
+    # einsum never takes its unrolled dot, which adds them out of order
+    corr = np.empty((M, N + L, K), order="F")[:, 1:]
     for k in range(K):
         _correlate(model.weights, frames[:, :, k], out=corr[:, :, k])
-    if out is None:
-        result = np.zeros((M, N, L), order="F")
-    else:
-        plane = np.empty((M, N), order="F")
+    plane = np.empty((M, N), order="F")
     for l in range(L):
-        if out is None:
-            acc = result[:, :, l]
-        else:
-            acc = plane
-            acc.fill(0.0)
-        for k in range(K):
-            acc += masks[:, :, k] * corr[:, l : l + N, k]
+        np.einsum("ijk,ijk->ij", masks, corr[:, l : l + N], out=plane)
         if scale != 1.0:
-            acc *= scale
-        if out is not None:
-            out[:, :, l] += acc
-    return result if out is None else out
+            plane *= scale
+        out[:, :, l] += plane
 
 
 def _overlap_counts(model: CassiModel) -> tuple[np.ndarray, np.ndarray]:
@@ -295,17 +281,19 @@ def adjoint_apply(
 ) -> np.ndarray:
     """``scale`` times the exact transpose of the operator applied to ``g``.
 
-    The result is a fresh vector, or is added into ``out`` and ``out``
-    returned, as BLAS's ``y <- alpha A^T x + y``: the bits of
-    ``v = adjoint_apply(model, g); v *= scale; v += out``. ``out`` must be
-    a writeable, contiguous, 1-D float64 vector of ``model.n`` values;
-    anything else raises ``ValueError``. ``g`` is not modified.
+    The result is added into ``out`` and ``out`` returned, as BLAS's
+    ``y <- alpha A^T x + y``: the bits of ``v = adjoint_apply(model, g);
+    v *= scale; v += out``. Without ``out`` it is added into a fresh zero
+    vector, which gives the bits of ``H^T g`` itself, since ``0.0 + x`` is
+    ``x``. ``out`` must be a writeable, contiguous, 1-D float64 vector of
+    ``model.n`` values; anything else raises ``ValueError``. ``g`` is not
+    modified.
     """
     shape = measurement_shape(model.rows, model.cols, model.bands, model.shots)
     frames = cube_view(g, shape, "measurements")
     if out is None:
-        return _adjoint(model, frames, scale=scale).reshape(-1, order="F")
-    if not (is_out_vector(out) and out.size == model.n):
+        out = np.zeros(model.n)
+    elif not (is_out_vector(out) and out.size == model.n):
         raise ValueError(
             f"out must be a writeable, contiguous, 1-D float64 vector of {model.n} values"
         )

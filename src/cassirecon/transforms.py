@@ -163,40 +163,29 @@ def _dct_matrix(L: int) -> np.ndarray:
     return D
 
 
-def _spectral(cube: np.ndarray, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Apply ``D`` along the last axis; the result is a Fortran-ordered cube.
+def _spectral(cube: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Apply ``D`` along the last axis of a Fortran-ordered float64 ``cube``, over it.
 
-    The Fortran-ordered (M*N, L) view X of ``cube`` is worked a pixel block
-    at a time: one GEMM, ``D @ X[block].T``, writes the same pixels of the
-    transposed (M*N, L) view of the result, so no reshape copies. The
-    result is a fresh cube, read straight from ``X``, or ``cube`` itself
-    when ``out`` is ``cube``: then each block's columns of ``X.T`` are
-    first copied into one reused (L, width) buffer, so a block is read
-    whole before its pixels are written.
+    The (M*N, L) view X of ``cube`` is worked a pixel block at a time: the
+    block's columns of ``X.T`` are copied into one reused (L, width)
+    buffer, so the block is read whole before its pixels are written, and
+    one GEMM, ``D @ buffer``, writes them back through ``X.T``; no reshape
+    copies. Returns ``cube``.
 
     A block spans at most :data:`.cubes.CHUNK_BYTES`, rounded down to a
     multiple of 64 pixels (at least 64). The blocks give the one GEMM's
-    bits, with or without the buffer, whenever M*N is a multiple of 16,
-    and trivially when the view fits in one block; elsewhere OpenBLAS may
-    differ in the last bits.
+    bits whenever M*N is a multiple of 16, and trivially when the view
+    fits in one block; elsewhere OpenBLAS may differ in the last bits.
     """
-    cube = np.asarray(cube, dtype=np.float64)
     X = cube.reshape((-1, cube.shape[-1]), order="F")
     pixels, bands = X.shape
     width = max(64, CHUNK_BYTES // (8 * bands) // 64 * 64)
-    if out is None:
-        out = np.empty(cube.shape, order="F")
-        buf = None
-    else:
-        buf = np.empty((bands, min(width, pixels)))
-    Y = out.reshape(X.shape, order="F")
+    buf = np.empty((bands, min(width, pixels)))
     for a in range(0, pixels, width):
-        block = X[a : a + width].T
-        if buf is not None:
-            np.copyto(buf[:, : block.shape[1]], block)
-            block = buf[:, : block.shape[1]]
-        np.matmul(D, block, out=Y[a : a + width].T)
-    return out
+        block = buf[:, : min(width, pixels - a)]
+        np.copyto(block, X[a : a + width].T)
+        np.matmul(D, block, out=X[a : a + width].T)
+    return cube
 
 
 @dataclass(frozen=True)
@@ -245,13 +234,16 @@ class SparsifyingTransform:
     def forward(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Coefficient vector of a vectorized cube.
 
-        The coefficients are a fresh array, or are written over ``x`` when
-        ``out`` is ``x`` itself, a writeable, contiguous, 1-D float64
-        vector. The result is the same bits either way.
+        The coefficients are written over ``x`` when ``out`` is ``x``
+        itself, a writeable, contiguous, 1-D float64 vector, and over a
+        fresh copy of ``x`` without ``out``. The result is the same bits
+        either way.
         """
         h, g = _filters(self.wavelet)
         cube = cube_view(x, (self.rows, self.cols, self.bands), "cube values")
-        coeffs = _spectral(cube, _dct_matrix(self.bands), cube if in_place(out, x) else None)
+        if not in_place(out, x):
+            cube = cube.copy(order="F")
+        coeffs = _spectral(cube, _dct_matrix(self.bands))
         for block, buf in self._blocks(coeffs, range(self.levels)):
             # the rows of the block, then its columns, each split over the block
             scratch = buf[: block.size].reshape(block.shape, order="F")
@@ -263,13 +255,15 @@ class SparsifyingTransform:
         """Cube (flat) from a coefficient vector; exact inverse of ``forward``.
 
         The spectral inverse runs first: it commutes with the per-band
-        wavelet and yields the array the wavelet levels then rebuild. That
-        array is fresh, or ``theta`` itself when ``out`` is ``theta``, on
-        the terms of ``forward``. The result is the same bits either way.
+        wavelet and writes the array the wavelet levels then rebuild over
+        ``theta`` or a copy of it, on the terms of ``forward``. The result
+        is the same bits either way.
         """
         h, g = _filters(self.wavelet)
         coeffs = cube_view(theta, (self.rows, self.cols, self.bands), "coefficients")
-        cube = _spectral(coeffs, _dct_matrix(self.bands).T, coeffs if in_place(out, theta) else None)
+        if not in_place(out, theta):
+            coeffs = coeffs.copy(order="F")
+        cube = _spectral(coeffs, _dct_matrix(self.bands).T)
         for block, buf in self._blocks(cube, range(self.levels - 1, -1, -1)):
             # the columns of the block, then its rows, each merged over the
             # block from its two halves, one after the other in buf

@@ -72,7 +72,7 @@ def estimate_stats(theta: np.ndarray, smap: SubbandMap) -> SubbandStats:
 
 def _group_gains(stats: SubbandStats, sigma2: float) -> np.ndarray:
     """Shrinkage gain per group: max(0, nu^2 - sigma^2) / nu^2, 0 when nu^2 = 0."""
-    if sigma2 < 0.0:
+    if not (sigma2 >= 0.0):
         raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
     gains = np.zeros_like(stats.var)
     pos = stats.var > 0.0

@@ -420,17 +420,28 @@ def test_run_rejects_wrong_lengths():
         run_amp(np.zeros(model.m), model, AmpConfig(max_iter=1), truth=np.zeros(5))
 
 
-def test_trace_bits_do_not_follow_the_blas_thread_count():
-    # m = 12,544 measurements: above 10,000 entries NumPy's norm is a threaded
-    # BLAS dot, whose last bits change with the thread count
+@pytest.mark.parametrize(
+    "run, header",
+    [
+        ("run_amp(g, model, AmpConfig(max_iter=5))", "iter,sigma2,residual_norm,derivative_mean"),
+        (
+            "fista_run(g, model, SparsifyingTransform(32, 32, 16), L1Config(lam=0.01, max_iter=5))",
+            "iter,objective,residual_norm",
+        ),
+    ],
+    ids=["amp", "fista"],
+)
+def test_trace_bits_do_not_follow_the_blas_thread_count(run, header):
+    # m = 12,544 measurements: above 10,000 entries a BLAS dot is threaded,
+    # and its last bits change with the thread count
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = """
-from cassirecon import AmpConfig, CassiModel, DispersionWeights, add_noise, forward_apply
-from cassirecon import generate_apertures, phantom_cube, run_amp
+    code = f"""
+from cassirecon import AmpConfig, CassiModel, DispersionWeights, L1Config, SparsifyingTransform
+from cassirecon import add_noise, fista_run, forward_apply, generate_apertures, phantom_cube, run_amp
 cube = phantom_cube(32, 32, 16, seed=0)
 model = CassiModel(generate_apertures(32, 32, 8, 'complementary', 0), DispersionWeights(0.25, 0.5, 0.25), bands=16)
 g, _ = add_noise(forward_apply(model, cube.values), 20.0, seed=0)
-print(run_amp(g, model, AmpConfig(max_iter=5))[1].to_csv(), end='')
+print({run}[1].to_csv(), end='')
 """
 
     def trace_rows(threads):
@@ -444,5 +455,5 @@ print(run_amp(g, model, AmpConfig(max_iter=5))[1].to_csv(), end='')
         return [row.rsplit(",", 1)[0] for row in done.stdout.splitlines()]  # without wall_ms
 
     one = trace_rows("1")
-    assert one[0] == "iter,sigma2,residual_norm,derivative_mean" and len(one) == 6
+    assert one[0] == header and len(one) == 6
     assert trace_rows("2") == one

@@ -145,10 +145,12 @@ def test_negative_noise_rejected():
     smap = small_map()
     theta = np.ones(4)
     stats = estimate_stats(theta, smap)
-    with pytest.raises(ValueError):
-        wiener_shrink(theta, stats, -1e-9, smap)
-    with pytest.raises(ValueError):
-        shrink_derivative_mean(stats, -1.0, smap)
+    # NaN fails every comparison, so it must not pass as nonnegative
+    for sigma2 in (-1e-9, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            wiener_shrink(theta, stats, sigma2, smap)
+        with pytest.raises(ValueError):
+            shrink_derivative_mean(stats, sigma2, smap)
 
 
 def test_length_mismatch_rejected():
