@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -40,29 +39,26 @@ _APERTURE_HEADER = struct.Struct("<4sIII")
 
 PathLike = Union[str, Path]
 
-# mkstemp creates owner-only files; give outputs the usual umask-based mode.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-_FILE_MODE = 0o666 & ~_UMASK
-
 
 def atomic_write(path: PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` through a private temp file and a rename.
 
-    Every call gets its own temp file, so concurrent writers to one path
-    never share one; readers see one complete payload or the other. A
+    Every call creates its own temp file (a random name, ``O_EXCL``), so
+    concurrent writers to one path never share one; readers see one complete
+    payload or the other. Its mode follows the umask at the call. A
     failed write leaves no temp file and raises ``OSError("cannot write
     <path>: <reason>")``, which names ``path``, not the temp file.
     """
     path = Path(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+        tmp = name  # ours once created, so a failed open unlinks nothing
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException as err:
         if tmp is not None:

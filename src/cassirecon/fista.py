@@ -156,16 +156,14 @@ def fista_run(
             # momentum point x' + a*(z - x') + b*(x' - x), with x' the kept
             # iterate, then loses its zero term: z + b*(z - x) over the old
             # x, or x + a*(z - x) over the rejected z
+            accept = fz <= fx
+            y = np.subtract(z, x, out=x if accept else z)
             hy = hz - hx
-            if fz <= fx:
-                y = np.subtract(z, x, out=x)
+            if accept:
                 x, hx, rx2, fx = z, hz, rz2, fz
-                y *= b
-                hy *= b
-            else:
-                y = np.subtract(z, x, out=z)
-                y *= a
-                hy *= a
+            coef = b if accept else a
+            y *= coef
+            hy *= coef
             y += x
             hy += hx
             # a rejected candidate's H z is freed before the next adjoint

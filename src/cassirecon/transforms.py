@@ -84,12 +84,11 @@ def _check_dyadic(M: int, N: int, levels: int) -> None:
 def _split(x: np.ndarray, scratch: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
     """One periodized filter-bank split along axis 0, low band over the first half of ``x``.
 
-    Output i takes row (2i + t) mod n at tap t. Tap t reads the rows
-    ``x[s::2]`` (s = t mod n) for the first outputs and the wrapped rows
-    ``x[s % 2 : 2 * (s // 2) : 2]`` for the last ``s // 2``; s differs from t
-    only when the block is shorter than the filter. Each output accumulates
-    its taps in order from zero, as the gather form ``x[(2i + t) % n]`` does.
-    The taps read a copy of ``x`` in ``scratch``, a compact array of its shape.
+    Output i accumulates its taps in order from zero, as the gather form
+    ``x[(2i + t) % n]`` does. Tap t is the one slice ``ext[t : t + n : 2]``
+    of a periodic extension of ``x`` in ``scratch``, which has ``h.size - 2``
+    more rows: row r >= n repeats row r - n, filled in increasing r, so a
+    block shorter than the filter wraps as often as it needs.
 
     Haar (``h == (s, s)``, so ``g == (s, -s)``) shares its products: with
     ``p = s * x`` in ``scratch``, ``lo = p[0::2] + p[1::2]`` and ``hi = p[0::2] - p[1::2]``.
@@ -103,27 +102,25 @@ def _split(x: np.ndarray, scratch: np.ndarray, h: np.ndarray, g: np.ndarray) -> 
         np.add(p[0::2], p[1::2], out=lo)
         np.subtract(p[0::2], p[1::2], out=hi)
         return
-    np.copyto(scratch, x)
-    x = scratch
-    np.multiply(x[0::2], h[0], out=lo)
-    np.multiply(x[0::2], g[0], out=hi)
+    ext = scratch
+    np.copyto(ext[:n], x)
+    for r in range(n, ext.shape[0]):
+        ext[r] = ext[r - n]
+    np.multiply(ext[0:n:2], h[0], out=lo)
+    np.multiply(ext[0:n:2], g[0], out=hi)
     for t in range(1, h.size):
-        s = t % n
-        k = s // 2
-        head, wrap = x[s::2], x[s % 2 : 2 * k : 2]
-        lo[: half - k] += h[t] * head
-        hi[: half - k] += g[t] * head
-        if k:
-            lo[half - k :] += h[t] * wrap
-            hi[half - k :] += g[t] * wrap
+        tap = ext[t : t + n : 2]
+        lo += h[t] * tap
+        hi += g[t] * tap
 
 
 def _merge(out: np.ndarray, scratch: np.ndarray, h: np.ndarray, g: np.ndarray) -> None:
     """Transpose of :func:`_split`: rebuild ``out`` from ``lo`` and ``hi``, its two halves.
 
-    Taps 0 and 1 write every even and odd row once; later taps add in order.
-    They read copies of ``lo`` and ``hi`` in ``a = scratch[..., 0]`` and
-    ``b = scratch[..., 1]``, compact arrays of a half's shape. Haar shares its
+    Tap t reads the one slice ``a[k - t // 2 :][:half]`` of ``a = scratch[..., 0]``,
+    ``lo`` after ``k = h.size / 2 - 1`` wrap rows (row r < k repeats row r + half,
+    filled from k - 1 down), and likewise ``b`` for ``hi``. Taps 0 and 1 write
+    every even and odd row once; later taps add in order. Haar shares its
     products as in :func:`_split`: with ``a = s * lo`` and ``b = s * hi``,
     the even rows are ``a + b`` and the odd rows ``a - b``.
     """
@@ -135,17 +132,20 @@ def _merge(out: np.ndarray, scratch: np.ndarray, h: np.ndarray, g: np.ndarray) -
         np.add(a, b, out=out[0::2])
         np.subtract(a, b, out=out[1::2])
         return
-    np.copyto(a, out[:half])
-    np.copyto(b, out[half:])
-    n = 2 * half
-    out[0::2] = h[0] * a + g[0] * b
-    out[1::2] = h[1] * a + g[1] * b
-    for t in range(2, h.size):
-        s = t % n
-        k = s // 2
-        out[s::2] += h[t] * a[: half - k] + g[t] * b[: half - k]
-        if k:
-            out[s % 2 : 2 * k : 2] += h[t] * a[half - k :] + g[t] * b[half - k :]
+    k = h.size // 2 - 1
+    np.copyto(a[k:], out[:half])
+    np.copyto(b[k:], out[half:])
+    for r in range(k - 1, -1, -1):
+        a[r] = a[r + half]
+        b[r] = b[r + half]
+    for t in range(h.size):
+        rows = out[t % 2 :: 2]
+        tap = h[t] * a[k - t // 2 :][:half] + g[t] * b[k - t // 2 :][:half]
+        if t < 2:
+            rows[...] = tap
+        else:
+            rows += tap
+        del tap  # freed before the next tap's products
 
 
 def _cols(a: np.ndarray) -> np.ndarray:
@@ -219,14 +219,15 @@ class SparsifyingTransform:
     def n(self) -> int:
         return self.rows * self.cols * self.bands
 
-    def _blocks(self, out: np.ndarray, levels: range):
+    def _blocks(self, out: np.ndarray, levels: range, pad: int):
         """Each band chunk's ``(M >> j, N >> j)`` block for j in ``levels``, with one flat buffer.
 
         The levels run chunk by chunk, each split or merge over its own
-        block, and the buffer, a chunk's size, holds what the taps read.
+        block, and the buffer, a chunk with ``pad`` more rows or columns,
+        holds the periodic extension the taps read.
         """
         chunks = band_chunks(self.rows, self.cols, self.bands)
-        buf = np.empty(self.rows * self.cols * chunks[0][1])
+        buf = np.empty((self.rows * self.cols + pad * max(self.rows, self.cols)) * chunks[0][1])
         for a, b in chunks:
             for j in levels:
                 yield out[: self.rows >> j, : self.cols >> j, a:b], buf
@@ -244,11 +245,12 @@ class SparsifyingTransform:
         if not in_place(out, x):
             cube = cube.copy(order="F")
         coeffs = _spectral(cube, _dct_matrix(self.bands))
-        for block, buf in self._blocks(coeffs, range(self.levels)):
+        p = h.size - 2
+        for block, buf in self._blocks(coeffs, range(self.levels), p):
             # the rows of the block, then its columns, each split over the block
-            scratch = buf[: block.size].reshape(block.shape, order="F")
-            _split(block, scratch, h, g)
-            _split(_cols(block), _cols(scratch), h, g)
+            m, n, c = block.shape
+            _split(block, np.ndarray((m + p, n, c), buffer=buf, order="F"), h, g)
+            _split(_cols(block), _cols(np.ndarray((m, n + p, c), buffer=buf, order="F")), h, g)
         return coeffs.reshape(-1, order="F") if out is None else out
 
     def inverse(self, theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -264,13 +266,14 @@ class SparsifyingTransform:
         if not in_place(out, theta):
             coeffs = coeffs.copy(order="F")
         cube = _spectral(coeffs, _dct_matrix(self.bands).T)
-        for block, buf in self._blocks(cube, range(self.levels - 1, -1, -1)):
+        k = h.size // 2 - 1
+        for block, buf in self._blocks(cube, range(self.levels - 1, -1, -1), 2 * k):
             # the columns of the block, then its rows, each merged over the
             # block from its two halves, one after the other in buf
             m, n, c = block.shape
-            cols = buf[: block.size].reshape((m, n // 2, c, 2), order="F")
+            cols = np.ndarray((m, n // 2 + k, c, 2), buffer=buf, order="F")
             _merge(_cols(block), _cols(cols), h, g)
-            _merge(block, buf[: block.size].reshape((m // 2, n, c, 2), order="F"), h, g)
+            _merge(block, np.ndarray((m // 2 + k, n, c, 2), buffer=buf, order="F"), h, g)
         return cube.reshape(-1, order="F") if out is None else out
 
 

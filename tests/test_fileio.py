@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -168,6 +169,21 @@ def test_no_temp_files_left_behind(tmp_path):
     fileio.write_cube(tmp_path / "x.hsc", cube)
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize(
+    "umask, mode", [(0o077, 0o600), (0o022, 0o644), (0o002, 0o664)], ids=["077", "022", "002"]
+)
+def test_written_files_take_the_umask_at_the_write(tmp_path, umask, mode):
+    # the umask is set after import, as a process that tightens it late does
+    cube = phantom_cube(4, 4, 2, "gaussian-blobs", seed=1)
+    old = os.umask(umask)
+    try:
+        fileio.write_cube(tmp_path / "x.hsc", cube)
+    finally:
+        os.umask(old)
+    assert (tmp_path / "x.hsc").stat().st_mode & 0o777 == mode
 
 
 def test_atomic_write_concurrent_writers(tmp_path):
