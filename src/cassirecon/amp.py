@@ -31,7 +31,7 @@ from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
-from .transforms import SparsifyingTransform, SubbandMap
+from .transforms import SparsifyingTransform
 from .wiener import denoise_cube
 
 DEFAULT_ALPHA = 0.2
@@ -144,7 +144,6 @@ def amp_iteration(
     g: np.ndarray,
     model: CassiModel,
     transform: SparsifyingTransform,
-    smap: SubbandMap,
     alpha: float,
     trace: Optional[Trace] = None,
 ) -> AmpState:
@@ -167,7 +166,7 @@ def amp_iteration(
         q = pseudo_data(state.f, r, model)
         sigma2 = noise_estimate(r)
         check_float32_range(sigma2, "noise estimate", t, trace)
-        f_half, deriv = denoise_cube(q, sigma2, transform, smap, out=q)
+        f_half, deriv = denoise_cube(q, sigma2, transform, out=q)
     # With sigma2 in range, a group gain (nu^2 - sigma2) / nu^2 is NaN exactly
     # when its variance nu^2 overflowed to inf, and the mean gain with it.
     check_float32_range(deriv, "group variances", t, trace)
@@ -200,5 +199,5 @@ def run_amp(
     trace = Trace.for_solver(truth, shape, "sigma2", "residual_norm", "derivative_mean")
     state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
     for _ in range(config.max_iter):
-        state = amp_iteration(state, g, model, transform, transform.subbands, config.alpha, trace)
+        state = amp_iteration(state, g, model, transform, config.alpha, trace)
     return state.f, trace

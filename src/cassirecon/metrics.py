@@ -60,19 +60,24 @@ def per_band_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0)
     """PSNR in dB of every spectral band of two (M, N, L) cubes; +inf where the MSE is zero.
 
     The per-band MSE is taken a band chunk at a time (:func:`.cubes.band_chunks`),
-    so the squared difference is never a cube-sized temporary.
+    so the squared difference is never a cube-sized temporary. The peak's
+    square must be a finite positive float.
     """
     ref = np.asarray(ref_cube, dtype=np.float64)
     est = np.asarray(est_cube, dtype=np.float64)
     if ref.shape != est.shape or ref.ndim != 3:
         raise DimensionError(f"expected matching 3D cubes, got {ref.shape} vs {est.shape}")
-    if not (np.isfinite(peak) and peak > 0.0):
-        raise ValueError(f"peak must be positive and finite, got {peak}")
+    peak2 = float(peak) * float(peak)
+    if not (peak > 0.0 and 0.0 < peak2 < np.inf):
+        raise ValueError(f"peak must be positive with a finite positive square, got {peak}")
     mse = np.empty(ref.shape[2])
     for a, b in band_chunks(*ref.shape):
         mse[a:b] = np.mean((ref[:, :, a:b] - est[:, :, a:b]) ** 2, axis=(0, 1))
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(peak * peak / mse)
+    with np.errstate(divide="ignore", over="ignore"):
+        psnr = 10.0 * np.log10(peak2 / mse)
+        # a nonzero MSE that overflows the quotient takes the logs apart
+        apart = 10.0 * (np.log10(peak2) - np.log10(mse))
+        return np.where(np.isposinf(psnr) & (mse > 0.0), apart, psnr)
 
 
 class PsnrSummary(NamedTuple):
@@ -81,16 +86,17 @@ class PsnrSummary(NamedTuple):
 
     @classmethod
     def from_bands(cls, band_psnr: np.ndarray) -> "PsnrSummary":
-        """Mean of the finite band PSNRs and the count of infinite ones.
+        """Mean PSNR of the bands that differ and the count of identical ones.
 
-        When every band is infinite (identical cubes) the sentinel propagates
-        as value = +inf.
+        Only a +inf band (MSE exactly zero) counts as identical; a -inf or
+        NaN band carries into the mean. When every band is identical the
+        sentinel propagates as value = +inf.
         """
-        finite = np.isfinite(band_psnr)
-        n_inf = int(band_psnr.size - finite.sum())
-        if not finite.any():
+        identical = band_psnr == np.inf
+        n_inf = int(identical.sum())
+        if identical.all():
             return cls(float("inf"), n_inf)
-        return cls(float(band_psnr[finite].mean()), n_inf)
+        return cls(float(band_psnr[~identical].mean()), n_inf)
 
 
 def avg_psnr(ref_cube: np.ndarray, est_cube: np.ndarray) -> PsnrSummary:

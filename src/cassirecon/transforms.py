@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import CHUNK_BYTES, band_chunks, check_dims, cube_view, in_place
+from .cubes import band_chunks, check_dims, cube_view, in_place
 from .errors import DimensionError
 
 _SQRT2 = np.sqrt(2.0)
@@ -172,14 +172,15 @@ def _spectral(cube: np.ndarray, D: np.ndarray) -> np.ndarray:
     one GEMM, ``D @ buffer``, writes them back through ``X.T``; no reshape
     copies. Returns ``cube``.
 
-    A block spans at most :data:`.cubes.CHUNK_BYTES`, rounded down to a
-    multiple of 64 pixels (at least 64). The blocks give the one GEMM's
-    bits whenever M*N is a multiple of 16, and trivially when the view
-    fits in one block; elsewhere OpenBLAS may differ in the last bits.
+    A block is a multiple of 64 pixels wide (at least 64), and for L <= 64
+    no GEMM exceeds 2^18 multiply-adds, which OpenBLAS runs on one thread.
+    On its default, Nehalem, Sandybridge and Zen kernels the bits then
+    follow neither the thread count nor the block width; another BLAS may
+    thread, and round, at other sizes.
     """
     X = cube.reshape((-1, cube.shape[-1]), order="F")
     pixels, bands = X.shape
-    width = max(64, CHUNK_BYTES // (8 * bands) // 64 * 64)
+    width = max(64, (1 << 18) // (bands * bands) // 64 * 64)
     buf = np.empty((bands, min(width, pixels)))
     for a in range(0, pixels, width):
         block = buf[:, : min(width, pixels - a)]

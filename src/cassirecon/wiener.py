@@ -148,7 +148,6 @@ def denoise_cube(
     q: np.ndarray,
     sigma2: float,
     transform: SparsifyingTransform,
-    smap: SubbandMap,
     out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Denoise a vectorized cube; returns (estimate, mean shrinkage gain).
@@ -158,15 +157,9 @@ def denoise_cube(
     is ``q`` itself (AMP's call, which saves a cube), the shrink works on
     them in place and ``transform.inverse`` writes the estimate back over
     them. ``out`` follows the terms of ``SparsifyingTransform.forward``;
-    without it ``q`` is left alone. ``smap`` must be the transform's own
-    map, ``transform.subbands``.
+    without it ``q`` is left alone.
     """
-    if smap != transform.subbands:
-        layout = (transform.rows, transform.cols, transform.bands)
-        raise DimensionError(
-            f"subband map of shape {smap.shape} with {len(smap.blocks)} blocks per band "
-            f"does not fit a {layout} transform at {transform.levels} levels"
-        )
+    smap = transform.subbands
     theta = transform.forward(q, out=out)
     stats = estimate_stats(theta, smap)
     deriv = _shrink(stats, sigma2, smap, theta)

@@ -214,7 +214,7 @@ def test_criterion_05_iteration_transcription():
     f_ref = alpha * t.inverse(theta_hat) + (1.0 - alpha) * f
 
     state = AmpState(f=f, r=r_prev, sigma2=0.1, deriv_mean=d_prev, t=2)
-    new = amp_iteration(state, g, model, t, smap, alpha)
+    new = amp_iteration(state, g, model, t, alpha)
     iter_err = max(
         float(np.abs(new.f - f_ref).max()),
         float(np.abs(new.r - r).max()),
@@ -223,7 +223,7 @@ def test_criterion_05_iteration_transcription():
 
     # t=1 with zero state: residual is exactly g
     state1 = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
-    first = amp_iteration(state1, g, model, t, smap, 1.0)
+    first = amp_iteration(state1, g, model, t, 1.0)
     first_ok = np.array_equal(first.r, g)
 
     # alpha=1 equals the undamped composition bit-for-bit
@@ -231,8 +231,8 @@ def test_criterion_05_iteration_transcription():
 
     ru = residual_step(f, r_prev, d_prev, g, model)
     qu = pseudo_data(f, ru, model)
-    fu, _ = denoise_cube(qu, noise_estimate(ru), t, smap)
-    undamped = amp_iteration(state, g, model, t, smap, 1.0)
+    fu, _ = denoise_cube(qu, noise_estimate(ru), t)
+    undamped = amp_iteration(state, g, model, t, 1.0)
     undamped_ok = np.array_equal(undamped.f, fu) and np.array_equal(undamped.r, ru)
 
     ok = iter_err <= 1e-12 and first_ok and undamped_ok

@@ -39,10 +39,8 @@ def small_model(seed=1):
     return CassiModel(generate_apertures(8, 8, 2, "complementary", seed), W, bands=4)
 
 
-def setup_solver(model, wavelet="haar"):
-    t = SparsifyingTransform(model.rows, model.cols, model.bands, wavelet=wavelet)
-    smap = subband_map(model.rows, model.cols, model.bands, t.levels)
-    return t, smap
+def setup_solver(model):
+    return SparsifyingTransform(model.rows, model.cols, model.bands)
 
 
 def test_residual_first_iteration_equals_g():
@@ -177,7 +175,8 @@ def reference_iteration(H, R, f, r_prev, d_prev, g, alpha, transform, smap):
 def test_iteration_matches_dense_reference():
     model = small_model(seed=7)
     H = materialize(model)
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
+    smap = subband_map(model.rows, model.cols, model.bands, t.levels)
     rng = np.random.default_rng(7)
     f = rng.standard_normal(model.n)
     r_prev = rng.standard_normal(model.m)
@@ -186,7 +185,7 @@ def test_iteration_matches_dense_reference():
     alpha = 0.2
     state = AmpState(f=f, r=r_prev, sigma2=0.3, deriv_mean=d_prev, t=2)
     trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
-    new = amp_iteration(state, g, model, t, smap, alpha, trace)
+    new = amp_iteration(state, g, model, t, alpha, trace)
     ref_f, ref_r, ref_s2, ref_d = reference_iteration(
         H, model.rate, f, r_prev, d_prev, g, alpha, t, smap
     )
@@ -198,18 +197,18 @@ def test_iteration_matches_dense_reference():
 
 def test_alpha_one_equals_undamped_composition():
     model = small_model(seed=8)
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
     rng = np.random.default_rng(8)
     f = rng.standard_normal(model.n)
     r_prev = 0.1 * rng.standard_normal(model.m)
     g = rng.standard_normal(model.m)
     state = AmpState(f=f, r=r_prev, sigma2=0.1, deriv_mean=0.5, t=3)
-    new = amp_iteration(state, g, model, t, smap, 1.0)
+    new = amp_iteration(state, g, model, t, 1.0)
 
     r = residual_step(f, r_prev, 0.5, g, model)
     q = pseudo_data(f, r, model)
     sigma2 = noise_estimate(r)
-    f_half, deriv = denoise_cube(q, sigma2, t, smap)
+    f_half, deriv = denoise_cube(q, sigma2, t)
     assert np.array_equal(new.r, r)
     assert np.array_equal(new.f, f_half)
     assert new.sigma2 == sigma2 and new.deriv_mean == deriv
@@ -231,22 +230,22 @@ def test_identity_like_operator_recovers_signal_in_one_step():
     q1 = pseudo_data(np.zeros(model.n), r1, model)
     assert np.abs(q1 - f0).max() <= 1e-12
     # noiseless shrinkage is the identity, so one denoise recovers f0
-    t, smap = setup_solver(model)
-    f2, _ = denoise_cube(q1, 0.0, t, smap)
+    t = setup_solver(model)
+    f2, _ = denoise_cube(q1, 0.0, t)
     assert np.abs(f2 - f0).max() <= 1e-12
 
 
 def test_iteration_leaves_the_old_state_alone():
     # criterion 05 and callers reuse the state they pass in
     model = small_model(seed=8)
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
     rng = np.random.default_rng(21)
     state = AmpState(
         f=rng.standard_normal(model.n), r=rng.standard_normal(model.m), sigma2=0.3, deriv_mean=0.4, t=2
     )
     f_bytes, r_bytes = state.f.tobytes(), state.r.tobytes()
     g = rng.standard_normal(model.m)
-    nxt = amp_iteration(state, g, model, t, smap, 0.5)
+    nxt = amp_iteration(state, g, model, t, 0.5)
     assert state.f.tobytes() == f_bytes and state.r.tobytes() == r_bytes
     for a in (nxt.f, nxt.r):
         for b in (state.f, state.r, g):
@@ -260,14 +259,14 @@ def test_iteration_holds_three_cubes(traced_peak):
     # cube, and a fresh Psi^T output on top a third (3.47 here).
     M, N, L = 64, 512, 22
     model = CassiModel(generate_apertures(M, N, 2, "complementary", 3), W, bands=L)
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
     rng = np.random.default_rng(22)
     state = AmpState(
         f=rng.random(model.n), r=0.01 * rng.standard_normal(model.m), sigma2=0.1, deriv_mean=0.3, t=2
     )
     g = rng.standard_normal(model.m)
-    amp_iteration(state, g, model, t, smap, 0.2)  # first-use caches
-    peak = traced_peak(lambda: amp_iteration(state, g, model, t, smap, 0.2))
+    amp_iteration(state, g, model, t, 0.2)  # first-use caches
+    peak = traced_peak(lambda: amp_iteration(state, g, model, t, 0.2))
     assert peak / state.f.nbytes < 3.0
 
 
@@ -286,13 +285,13 @@ def test_run_amp_holds_two_cubes(traced_peak):
 
 def test_run_single_iteration_matches_manual():
     model = small_model(seed=10)
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
     rng = np.random.default_rng(10)
     g = rng.standard_normal(model.m)
     config = AmpConfig(alpha=0.3, max_iter=1)
     f_hat, trace = run_amp(g, model, config)
     state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
-    manual = amp_iteration(state, g, model, t, smap, 0.3)
+    manual = amp_iteration(state, g, model, t, 0.3)
     assert np.array_equal(f_hat, manual.f)
     assert len(trace) == 1
 
@@ -331,12 +330,13 @@ def test_trace_records_every_iteration():
 
 def test_trace_derivative_matches_recomputation():
     model = small_model(seed=12)
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
+    smap = subband_map(model.rows, model.cols, model.bands, t.levels)
     rng = np.random.default_rng(12)
     g = rng.standard_normal(model.m)
     state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m))
     trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
-    new = amp_iteration(state, g, model, t, smap, 0.2, trace)
+    new = amp_iteration(state, g, model, t, 0.2, trace)
     # recompute the shrinkage statistics this iteration actually used
     q = pseudo_data(state.f, new.r, model)
     stats = estimate_stats(t.forward(q), smap)
@@ -371,9 +371,9 @@ def test_residual_overflow_raises_at_its_iteration():
     model = small_model()
     state = AmpState(f=np.full(model.n, 1e308), r=np.zeros(model.m), t=3)
     trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
     with pytest.raises(DivergenceError, match="residual") as exc:
-        amp_iteration(state, np.zeros(model.m), model, t, smap, 0.2, trace)
+        amp_iteration(state, np.zeros(model.m), model, t, 0.2, trace)
     assert exc.value.iteration == 3
     assert exc.value.trace is trace
 
@@ -403,11 +403,11 @@ def test_finite_runaway_raises_with_partial_trace():
 def test_denoiser_stages_raise_at_their_iteration(monkeypatch, stage, denoised):
     monkeypatch.setattr("cassirecon.amp.denoise_cube", lambda q, *args, **kwargs: denoised(q))
     model = small_model()
-    t, smap = setup_solver(model)
+    t = setup_solver(model)
     state = AmpState(f=np.zeros(model.n), r=np.zeros(model.m), t=4)
     trace = AmpTrace("sigma2", "residual_norm", "derivative_mean", "wall_ms")
     with pytest.raises(DivergenceError, match=f"in {stage} at iteration 4$") as exc:
-        amp_iteration(state, np.ones(model.m), model, t, smap, 1.0, trace)
+        amp_iteration(state, np.ones(model.m), model, t, 1.0, trace)
     assert exc.value.iteration == 4
     assert exc.value.trace is trace
 
@@ -420,31 +420,43 @@ def test_run_rejects_wrong_lengths():
         run_amp(np.zeros(model.m), model, AmpConfig(max_iter=1), truth=np.zeros(5))
 
 
-@pytest.mark.parametrize(
-    "run, header",
-    [
-        ("run_amp(g, model, AmpConfig(max_iter=5))", "iter,sigma2,residual_norm,derivative_mean"),
-        (
-            "fista_run(g, model, SparsifyingTransform(32, 32, 16), L1Config(lam=0.01, max_iter=5))",
-            "iter,objective,residual_norm",
-        ),
-    ],
-    ids=["amp", "fista"],
+AMP_RUN = ("run_amp(g, model, AmpConfig(max_iter=5))", "iter,sigma2,residual_norm,derivative_mean")
+FISTA_RUN = (
+    "fista_run(g, model, SparsifyingTransform(M, N, L), L1Config(lam=0.01, max_iter=5))",
+    "iter,objective,residual_norm",
 )
-def test_trace_bits_do_not_follow_the_blas_thread_count(run, header):
-    # m = 12,544 measurements: above 10,000 entries a BLAS dot is threaded,
-    # and its last bits change with the thread count
+
+
+@pytest.mark.parametrize(
+    "run, header, dims",
+    [
+        (*AMP_RUN, (32, 32, 16, 8)),
+        (*FISTA_RUN, (32, 32, 16, 8)),
+        (*AMP_RUN, (64, 64, 24, 2)),
+        (*FISTA_RUN, (64, 64, 24, 2)),
+    ],
+    ids=["amp", "fista", "amp-64x64x24", "fista-64x64x24"],
+)
+def test_trace_bits_do_not_follow_the_blas_thread_count(run, header, dims):
+    # at 32x32x16, K=8, m = 12,544 measurements: above 10,000 entries a BLAS
+    # dot is threaded, and its last bits change with the thread count. At
+    # 64x64x24 the spectral DCT's GEMMs are the ones a wider pixel block
+    # would hand to more than one thread.
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = f"""
+import hashlib
 from cassirecon import AmpConfig, CassiModel, DispersionWeights, L1Config, SparsifyingTransform
 from cassirecon import add_noise, fista_run, forward_apply, generate_apertures, phantom_cube, run_amp
-cube = phantom_cube(32, 32, 16, seed=0)
-model = CassiModel(generate_apertures(32, 32, 8, 'complementary', 0), DispersionWeights(0.25, 0.5, 0.25), bands=16)
+M, N, L, K = {dims}
+cube = phantom_cube(M, N, L, seed=0)
+model = CassiModel(generate_apertures(M, N, K, 'complementary', 0), DispersionWeights(0.25, 0.5, 0.25), bands=L)
 g, _ = add_noise(forward_apply(model, cube.values), 20.0, seed=0)
-print({run}[1].to_csv(), end='')
+f, trace = {run}
+print(hashlib.sha256(f.tobytes()).hexdigest())
+print(trace.to_csv(), end='')
 """
 
-    def trace_rows(threads):
+    def digest_and_rows(threads):
         env = dict(
             os.environ,
             OPENBLAS_NUM_THREADS=threads,
@@ -452,8 +464,9 @@ print({run}[1].to_csv(), end='')
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        return [row.rsplit(",", 1)[0] for row in done.stdout.splitlines()]  # without wall_ms
+        digest, *rows = done.stdout.splitlines()
+        return digest, [row.rsplit(",", 1)[0] for row in rows]  # without wall_ms
 
-    one = trace_rows("1")
-    assert one[0] == header and len(one) == 6
-    assert trace_rows("2") == one
+    one = digest_and_rows("1")
+    assert one[1][0] == header and len(one[1]) == 6
+    assert digest_and_rows("2") == one

@@ -625,7 +625,7 @@ def test_export_slices_unwritable_outdir_names_it_exit_3(workdir, capsys, outdir
     assert capsys.readouterr().err == f"error: cannot write {workdir / outdir}: {reason}\n"
 
 
-@pytest.mark.parametrize("peak", ["nan", "inf"])
+@pytest.mark.parametrize("peak", ["nan", "inf", "1e200", "1e-200"])
 def test_eval_non_finite_peak_exit_2(workdir, tmp_path, capsys, peak):
     other = phantom_cube(16, 16, 4, "gaussian-blobs", seed=4)
     fileio.write_cube(tmp_path / "other.hsc", other)

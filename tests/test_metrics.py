@@ -5,7 +5,7 @@ import pytest
 
 from cassirecon.amp import AmpTrace
 from cassirecon.errors import DimensionError
-from cassirecon.metrics import Trace, add_noise, avg_psnr, measure_snr, per_band_psnr
+from cassirecon.metrics import PsnrSummary, Trace, add_noise, avg_psnr, measure_snr, per_band_psnr
 from cassirecon.phantoms import PHANTOM_KINDS, _spectral_profile, phantom_cube
 from cassirecon.transforms import SparsifyingTransform, subband_map
 
@@ -65,7 +65,9 @@ def test_psnr_formula():
     assert per_band_psnr(ref, ref)[0] == np.inf
     with pytest.raises(DimensionError):
         per_band_psnr(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)))
-    for peak in (0.0, np.nan, np.inf):
+    # peak^2 / mse overflows although the bands differ: a finite PSNR, not +inf
+    assert per_band_psnr(ref, np.full((4, 4, 1), 1e-160))[0] == pytest.approx(3200.0, rel=1e-6)
+    for peak in (0.0, np.nan, np.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="peak"):
             per_band_psnr(ref, est, peak=peak)
 
@@ -107,6 +109,14 @@ def test_avg_psnr_mean_and_sentinels():
     partial = avg_psnr(ref, est2)
     assert partial.value == pytest.approx(20.0, abs=1e-9)
     assert partial.infinite_bands == 1
+
+    # only +inf counts as identical: a -inf (infinite MSE) or NaN band
+    # carries into the mean instead of vanishing from it
+    summary = PsnrSummary.from_bands(np.array([20.0, -np.inf, np.inf]))
+    assert summary.value == -np.inf and summary.infinite_bands == 1
+    nan = PsnrSummary.from_bands(np.array([20.0, np.nan]))
+    assert np.isnan(nan.value) and nan.infinite_bands == 0
+
 
 
 def test_avg_psnr_band_permutation_invariant():

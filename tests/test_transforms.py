@@ -428,13 +428,18 @@ def test_psi_and_psi_t_in_place_make_one_chunk_of_scratch(traced_peak, op, wavel
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["D", "D.T"])
 def test_spectral_across_pixel_blocks_matches_one_gemm(transpose):
-    # 24 bands give 5440-pixel blocks, so 64x256 pixels (a multiple of 16)
-    # span four blocks, the last one of 64 pixels
-    M, N, L = 64, 256, 24
+    # 24 bands give 448-pixel blocks: 64x256 pixels span 37 blocks, the last
+    # one of 256, and 62x66 (4092 pixels, not a multiple of 16) span ten,
+    # the last one of 60. The reference takes 64 pixels per GEMM, each far
+    # below the size at which OpenBLAS threads a GEMM.
+    L = 24
     D = _dct_matrix(L).T if transpose else _dct_matrix(L)
-    cube = np.random.default_rng(20).standard_normal((M, N, L)).copy(order="F")
-    X = cube.reshape((-1, L), order="F")
-    want = np.empty(cube.shape, order="F")
-    np.matmul(D, X.T, out=want.reshape(X.shape, order="F").T)
-    assert _spectral(cube, D) is cube
-    assert np.array_equal(cube, want)
+    for M, N in ((64, 256), (62, 66)):
+        cube = np.random.default_rng(20).standard_normal((M, N, L)).copy(order="F")
+        X = cube.reshape((-1, L), order="F")
+        want = np.empty(cube.shape, order="F")
+        W = want.reshape(X.shape, order="F")
+        for a in range(0, M * N, 64):
+            np.matmul(D, X[a : a + 64].T, out=W[a : a + 64].T)
+        assert _spectral(cube, D) is cube
+        assert np.array_equal(cube, want), (M, N)
