@@ -20,10 +20,10 @@ from pathlib import Path
 
 from . import fileio
 from .amp import DEFAULT_ALPHA, DEFAULT_MAX_ITER, AmpConfig, run_amp
-from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet, check_seed
+from .cubes import DEFAULT_WEIGHTS, DispersionWeights, HyperCube, MeasurementSet, check_peak, check_seed
 from .errors import DivergenceError
 from .fista import L1Config, fista_run
-from .metrics import PsnrSummary, add_noise, per_band_psnr
+from .metrics import PsnrSummary, add_noise, check_snr, per_band_psnr
 from .operator import CassiModel, forward_apply, generate_apertures
 from .selfcheck import format_results, run_selfcheck
 from .transforms import WAVELET_FILTERS, SparsifyingTransform
@@ -77,6 +77,9 @@ def _check_distinct(args, outputs: tuple[str, ...], inputs: tuple[str, ...]) -> 
 def _cmd_simulate(args) -> int:
     _check_distinct(args, ("out",), ("cube", "apertures"))
     check_seed(args.seed, "--seed")
+    weights = _parse_weights(args.weights)
+    if args.snr is not None:
+        check_snr(args.snr)
     cube = fileio.read_cube(args.cube)
     apertures = fileio.read_apertures(args.apertures)
     if (apertures.rows, apertures.cols) != (cube.rows, cube.cols):
@@ -84,7 +87,6 @@ def _cmd_simulate(args) -> int:
             f"aperture size {apertures.rows}x{apertures.cols} does not match "
             f"cube {cube.rows}x{cube.cols}"
         )
-    weights = _parse_weights(args.weights)
     model = CassiModel(apertures, weights, bands=cube.bands)
     g = forward_apply(model, cube.values)
     sigma = 0.0
@@ -180,6 +182,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_distinct(args, ("report",), ("truth", "estimate"))
+    check_peak(args.peak)
     truth = fileio.read_cube(args.truth)
     estimate = fileio.read_cube(args.estimate)
     band_psnr = per_band_psnr(truth.as_array(), estimate.as_array(), args.peak)
@@ -200,6 +203,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_export_slices(args) -> int:
+    check_peak(args.peak)
     cube = fileio.read_cube(args.cube)
     paths = fileio.export_pgm_slices(cube, args.outdir, peak=args.peak)
     print(f"wrote {len(paths)} slices to {args.outdir}")

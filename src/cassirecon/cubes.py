@@ -65,6 +65,14 @@ def check_max_iter(max_iter: int) -> None:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 
+def check_peak(peak: float) -> float:
+    """The one peak rule: positive, with a finite positive square, which it returns."""
+    peak2 = float(peak) * float(peak)
+    if not (peak > 0.0 and 0.0 < peak2 < np.inf):
+        raise ValueError(f"peak must be positive with a finite positive square, got {peak}")
+    return peak2
+
+
 def fits_float32(values) -> bool:
     """The one divergence rule: a float32 payload holds every one of ``values``.
 

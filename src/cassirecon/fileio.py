@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .cubes import HyperCube, MeasurementSet, fits_float32, measurement_count
+from .cubes import HyperCube, MeasurementSet, check_peak, fits_float32, measurement_count
 from .errors import DimensionError
 from .operator import CodedApertureSet
 
@@ -176,8 +176,7 @@ def export_pgm_slices(cube: HyperCube, outdir: PathLike, peak: float = 1.0) -> l
 
     Files are named band_00.pgm, band_01.pgm, ... and returned in order.
     """
-    if not (np.isfinite(peak) and peak > 0.0):
-        raise ValueError(f"peak must be positive and finite, got {peak}")
+    check_peak(peak)
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,24 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cubes import band_chunks, cube_view
+from .cubes import band_chunks, check_peak, cube_view
 from .errors import DimensionError
+
+
+def check_snr(snr_db: float) -> float:
+    """The part of the cassi-snr rule that needs no data; returns ``10 ** (snr_db / 10)``.
+
+    The target must be finite and the ratio must neither overflow nor underflow to 0.
+    """
+    if not np.isfinite(snr_db):
+        raise ValueError(f"cassi-snr must be finite, got {snr_db} dB")
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:  # a Python float raises on overflow and underflows to 0
+        ratio = 0.0
+    if ratio == 0.0:
+        raise ValueError(f"cassi-snr {snr_db} dB gives no finite positive noise level")
+    return ratio
 
 
 def add_noise(g_clean: np.ndarray, snr_db: float, seed: int = 0) -> tuple[np.ndarray, float]:
@@ -23,18 +39,15 @@ def add_noise(g_clean: np.ndarray, snr_db: float, seed: int = 0) -> tuple[np.nda
 
     Returns (noisy measurements, noise standard deviation). The clean
     measurements must have positive mean or the SNR target is undefined, and
-    the target must give a finite, positive standard deviation.
+    the target must pass :func:`check_snr` and give a finite, positive
+    standard deviation.
     """
+    ratio = check_snr(snr_db)
     g = np.asarray(g_clean, dtype=np.float64).reshape(-1)
     mu = float(g.mean())
     if mu <= 0.0:
         raise ValueError(f"cassi-snr needs positive measurement mean, got {mu}")
-    if not np.isfinite(snr_db):
-        raise ValueError(f"cassi-snr must be finite, got {snr_db} dB")
-    try:
-        sigma = mu / 10.0 ** (snr_db / 10.0)
-    except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) outside float range
-        sigma = 0.0
+    sigma = mu / ratio
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"cassi-snr {snr_db} dB gives no finite positive noise level")
     rng = np.random.default_rng(seed)
@@ -60,16 +73,14 @@ def per_band_psnr(ref_cube: np.ndarray, est_cube: np.ndarray, peak: float = 1.0)
     """PSNR in dB of every spectral band of two (M, N, L) cubes; +inf where the MSE is zero.
 
     The per-band MSE is taken a band chunk at a time (:func:`.cubes.band_chunks`),
-    so the squared difference is never a cube-sized temporary. The peak's
-    square must be a finite positive float.
+    so the squared difference is never a cube-sized temporary. The peak
+    must pass :func:`.cubes.check_peak`.
     """
     ref = np.asarray(ref_cube, dtype=np.float64)
     est = np.asarray(est_cube, dtype=np.float64)
     if ref.shape != est.shape or ref.ndim != 3:
         raise DimensionError(f"expected matching 3D cubes, got {ref.shape} vs {est.shape}")
-    peak2 = float(peak) * float(peak)
-    if not (peak > 0.0 and 0.0 < peak2 < np.inf):
-        raise ValueError(f"peak must be positive with a finite positive square, got {peak}")
+    peak2 = check_peak(peak)
     mse = np.empty(ref.shape[2])
     for a, b in band_chunks(*ref.shape):
         mse[a:b] = np.mean((ref[:, :, a:b] - est[:, :, a:b]) ** 2, axis=(0, 1))

@@ -638,15 +638,35 @@ def test_eval_non_finite_peak_exit_2(workdir, tmp_path, capsys, peak):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("peak", ["nan", "inf"])
+@pytest.mark.parametrize("peak", ["nan", "inf", "1e300", "1e-320"])
 def test_export_slices_non_finite_peak_exit_2(workdir, capsys, peak):
+    capsys.readouterr()
     code = run_cli(
         "export-slices", "--cube", workdir / "cube.hsc", "--outdir", workdir / "slices",
         "--peak", peak,
     )
     assert code == 2
-    assert "peak" in capsys.readouterr().err
+    # the one message on stderr: no NumPy RuntimeWarning from scaling by the peak
+    want = f"error: peak must be positive with a finite positive square, got {float(peak)}\n"
+    assert capsys.readouterr().err == want
     assert not (workdir / "slices").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("eval --truth {d}/truth.hsc --estimate {d}/est.hsc --report {d}/r.csv --peak 1e200",
+     "peak must be positive with a finite positive square, got 1e+200"),
+    ("export-slices --cube {d}/cube.hsc --outdir {d}/slices --peak nan",
+     "peak must be positive with a finite positive square, got nan"),
+    ("simulate --cube {d}/cube.hsc --apertures {d}/ap.hsa --out {d}/m.hsm --snr nan",
+     "cassi-snr must be finite, got nan dB"),
+    ("simulate --cube {d}/cube.hsc --apertures {d}/ap.hsa --out {d}/m.hsm --weights 1,1,1",
+     "dispersion weights must sum to 1, got sum=3.0"),
+], ids=["eval-peak", "export-slices-peak", "simulate-snr", "simulate-weights"])
+def test_bad_flag_exit_2_before_any_file_is_read(tmp_path, capsys, command, message):
+    # every input file is missing: reading one first would exit 3
+    assert run_cli(*command.format(d=tmp_path).split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_reruns_byte_identical(workdir, tmp_path):

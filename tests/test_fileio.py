@@ -1,3 +1,4 @@
+import hashlib
 import os
 import threading
 
@@ -138,6 +139,9 @@ def test_aperture_rejects_non_binary(tmp_path):
         fileio.read_apertures(path)
 
 
+RAMP = np.arange(60, dtype=np.float64) - 6.0
+
+
 def pgm_pixels(path, rows, cols):
     """Pixels of a PGM file that starts with exactly the header write_pgm writes."""
     data = path.read_bytes()
@@ -162,6 +166,24 @@ def test_pgm_constant_band_uniform(tmp_path):
     paths = fileio.export_pgm_slices(cube, tmp_path, peak=1.0)
     img = pgm_pixels(paths[0], 4, 4)
     assert len(np.unique(img)) == 1
+
+
+@pytest.mark.parametrize("peak, values, digest", [
+    (1.0, RAMP / 50.0, "01c9d288f9dbf75536f2f41be3ced9ef9b21bd042f964ba9c1e8569a0346ff97"),
+    (255.0, RAMP * 4.7, "75d67199d6a81e622cb22c76f1a39f3c5019d1deb238f9c33000d5683306b760"),
+])
+def test_pgm_bytes_at_valid_peaks_are_pinned(tmp_path, peak, values, digest):
+    # SHA-256 of the three slices as written before the peak rule moved to cubes.check_peak
+    paths = fileio.export_pgm_slices(HyperCube(4, 5, 3, values), tmp_path, peak=peak)
+    assert hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf, 1e300, 1e-320])
+def test_pgm_peak_without_a_finite_positive_square_rejected(tmp_path, peak):
+    cube = HyperCube(4, 5, 3, RAMP / 50.0)
+    with pytest.raises(ValueError, match="peak must be positive with a finite positive square"):
+        fileio.export_pgm_slices(cube, tmp_path / "slices", peak=peak)
+    assert not (tmp_path / "slices").exists()
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from cassirecon.amp import AmpTrace
 from cassirecon.errors import DimensionError
-from cassirecon.metrics import PsnrSummary, Trace, add_noise, avg_psnr, measure_snr, per_band_psnr
+from cassirecon.metrics import (
+    PsnrSummary, Trace, add_noise, avg_psnr, check_snr, measure_snr, per_band_psnr,
+)
 from cassirecon.phantoms import PHANTOM_KINDS, _spectral_profile, phantom_cube
 from cassirecon.transforms import SparsifyingTransform, subband_map
 
@@ -29,6 +31,20 @@ def test_add_noise_empirical_std():
 def test_add_noise_requires_positive_mean():
     with pytest.raises(ValueError):
         add_noise(np.zeros(10), 20.0, seed=0)
+
+
+@pytest.mark.parametrize("snr_db, message", [
+    (np.nan, "cassi-snr must be finite, got nan dB"),
+    (4000.0, "cassi-snr 4000.0 dB gives no finite positive noise level"),
+    (-4000.0, "cassi-snr -4000.0 dB gives no finite positive noise level"),
+])
+def test_check_snr_needs_no_data(snr_db, message):
+    assert check_snr(20.0) == 100.0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_snr(snr_db)
+    # add_noise applies the same rule before it looks at the measurements
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        add_noise(np.zeros(10), snr_db, seed=0)
 
 
 def test_add_noise_deterministic():
