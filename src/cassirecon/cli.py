@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -80,6 +79,7 @@ def _cmd_simulate(args) -> int:
     weights = _parse_weights(args.weights)
     if args.snr is not None:
         check_snr(args.snr)
+    fileio.check_writable(args.out)
     cube = fileio.read_cube(args.cube)
     apertures = fileio.read_apertures(args.apertures)
     if (apertures.rows, apertures.cols) != (cube.rows, cube.cols):
@@ -105,17 +105,6 @@ def _cmd_simulate(args) -> int:
 def _write_trace(path: str, trace) -> None:
     if path:
         fileio.atomic_write(path, trace.to_csv().encode("ascii"))
-
-
-def _check_writable(path: str) -> None:
-    """Raise the OSError a write to ``path`` would meet, before any work is done."""
-    if path:
-        if Path(path).is_dir():
-            raise OSError(f"cannot write {path}: Is a directory")
-        try:
-            tempfile.TemporaryFile(dir=Path(path).parent).close()
-        except OSError as err:
-            raise OSError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _solver_config(args):
@@ -144,8 +133,8 @@ def _solver_config(args):
 def _cmd_reconstruct(args) -> int:
     _check_distinct(args, ("out", "trace"), ("measurements", "apertures", "truth"))
     config = _solver_config(args)
-    _check_writable(args.out)
-    _check_writable(args.trace)
+    for path in filter(None, (args.out, args.trace)):
+        fileio.check_writable(path)
     ms, model = _load_model(args.measurements, args.apertures)
     truth = None
     if args.truth:
@@ -183,6 +172,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_eval(args) -> int:
     _check_distinct(args, ("report",), ("truth", "estimate"))
     check_peak(args.peak)
+    fileio.check_writable(args.report)
     truth = fileio.read_cube(args.truth)
     estimate = fileio.read_cube(args.estimate)
     band_psnr = per_band_psnr(truth.as_array(), estimate.as_array(), args.peak)

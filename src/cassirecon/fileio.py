@@ -17,6 +17,7 @@ the record it builds, starts with the file's path.
 
 from __future__ import annotations
 
+import errno
 import functools
 import os
 import struct
@@ -40,6 +41,24 @@ _APERTURE_HEADER = struct.Struct("<4sIII")
 PathLike = Union[str, Path]
 
 
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """Open a new ``<name>.<16 hex>.tmp`` beside ``path`` (a directory is refused): fd and name."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666), name
+
+
+def check_writable(path: PathLike) -> None:
+    """Make and remove the temp file ``atomic_write(path, ...)`` makes, raising as it raises."""
+    try:
+        fd, name = _create_temp(Path(path))
+        os.close(fd)
+        os.unlink(name)
+    except OSError as err:
+        raise OSError(f"cannot write {path}: {err.strerror}") from None
+
+
 def atomic_write(path: PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` through a private temp file and a rename.
 
@@ -52,9 +71,7 @@ def atomic_write(path: PathLike, data: bytes) -> None:
     path = Path(path)
     tmp = None
     try:
-        name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
-        tmp = name  # ours once created, so a failed open unlinks nothing
+        fd, tmp = _create_temp(path)  # ours once created, so a failed open unlinks nothing
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()

@@ -210,10 +210,37 @@ def test_reconstruct_output_is_directory_exit_3_before_reading(workdir, capsys, 
     assert list(paths[flag].iterdir()) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "pathconf"), reason="NAME_MAX comes from os.pathconf")
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_output_the_write_cannot_name_exit_3_before_reading(workdir, capsys, monkeypatch, flag):
+    # a legal name, but the write's <name>.<16 hex>.tmp is 21 bytes longer than NAME_MAX
+    def unexpected_read(path):
+        raise AssertionError(f"read {path} before checking the output paths")
+
+    monkeypatch.setattr("cassirecon.fileio.read_measurements", unexpected_read)
+    long_name = "t" * (os.pathconf(workdir, "PC_NAME_MAX") - 4) + ".csv"
+    paths = {"--out": workdir / "ok.hsc", "--trace": workdir / "trace.csv"}
+    paths[flag] = workdir / long_name
+    before = sorted(workdir.iterdir())
+    code = run_cli(
+        "reconstruct", "--measurements", workdir / "meas.hsm",
+        "--apertures", workdir / "ap.hsa", "--iters", 2,
+        "--out", paths["--out"], "--trace", paths["--trace"],
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"error: cannot write {paths[flag]}: File name too long\n"
+    assert sorted(workdir.iterdir()) == before
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 @pytest.mark.parametrize("command", ["aperture", "simulate", "eval"])
-def test_unwritable_output_names_its_path_exit_3(workdir, capsys, command, target):
-    # the error names the flag's path, not the temp file, and no temp file is left
+def test_unwritable_output_names_its_path_exit_3(workdir, capsys, monkeypatch, command, target):
+    # the error names the flag's path, not the temp file, and no temp file is
+    # left; simulate and eval find the bad output before they read a cube
+    def unexpected_read(path):
+        raise AssertionError(f"read {path} before checking the output path")
+
+    monkeypatch.setattr("cassirecon.fileio.read_cube", unexpected_read)
     if target == "directory":
         out, reason = workdir / "d", "Is a directory"
         out.mkdir()

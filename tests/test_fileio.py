@@ -208,6 +208,41 @@ def test_written_files_take_the_umask_at_the_write(tmp_path, umask, mode):
     assert (tmp_path / "x.hsc").stat().st_mode & 0o777 == mode
 
 
+@pytest.mark.parametrize(
+    "target, reason",
+    [
+        ("directory", "Is a directory"),
+        ("missing-parent", "No such file or directory"),
+        ("name-too-long", "File name too long"),
+    ],
+    ids=["directory", "missing-parent", "name-too-long"],
+)
+def test_check_writable_meets_what_atomic_write_meets(tmp_path, target, reason):
+    if target == "directory":
+        path = tmp_path / "d"
+        path.mkdir()
+    elif target == "missing-parent":
+        path = tmp_path / "nodir" / "x.hsc"
+    else:
+        if not hasattr(os, "pathconf"):
+            pytest.skip("NAME_MAX comes from os.pathconf")
+        # a legal name whose temp name is too long
+        path = tmp_path / ("t" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
+    before = sorted(tmp_path.rglob("*"))
+    errors = []
+    for attempt in (fileio.check_writable, lambda p: fileio.atomic_write(p, b"x")):
+        with pytest.raises(OSError) as exc:
+            attempt(path)
+        errors.append(str(exc.value))
+        assert sorted(tmp_path.rglob("*")) == before
+    assert errors == [f"cannot write {path}: {reason}"] * 2
+
+
+def test_check_writable_leaves_no_file(tmp_path):
+    fileio.check_writable(tmp_path / "x.hsc")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_atomic_write_concurrent_writers(tmp_path):
     path = tmp_path / "shared.bin"
     payloads = [bytes([1]) * 100_000, bytes([2]) * 150_000]
