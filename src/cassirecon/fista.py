@@ -13,13 +13,16 @@ writes its coefficients c over v, the soft threshold writes s over c,
 and Psi^T writes the candidate z over s. The momentum point then goes
 over the dead cube: z + b*(z - x) over the old x when the candidate is
 accepted, x + a*(z - x) over z when it is rejected, the term of the
-general formula that is exactly zero left out. The l1 term adds the
-sums of |s| over :func:`.cubes.row_chunks` in order, so no cube-sized
-|s| is made. The objective's sum of squares, whose square root is the
-trace's residual norm, is AMP's pairwise :func:`.cubes.sum_of_squares`,
-not a BLAS dot, whose bits follow the thread count. Each layer
-keeps at most one chunk of scratch, so a warm ``fista_run`` at
-128x128x24, K=2 peaks at 2.50 cubes above its start under ``tracemalloc``.
+general formula that is exactly zero left out: that saves cube passes and
+temporaries, not arithmetic. The l1 term adds the sums of |s| over
+:func:`.cubes.row_chunks` in order, so no cube-sized |s| is made; up to
+one row chunk (131,072 values) that is the one sum of |s|, and above it
+the last bits can differ. The objective's sum of squares, carried with the
+kept iterate, is AMP's pairwise :func:`.cubes.sum_of_squares`, not a BLAS
+dot, whose bits follow the thread count; its square root is the trace's
+residual norm, so no pass over the residual is added. Each layer keeps at
+most one chunk of scratch, so a warm ``fista_run`` at 128x128x24, K=2
+peaks at 2.50 cubes above its start under ``tracemalloc``.
 
 The regularization weight is a user decision; ``sweep_lambda`` runs a
 caller-supplied grid. This is a generic l1 solver for benchmarking, not a
