@@ -31,7 +31,7 @@ from .errors import DimensionError
 # avg_psnr stays importable here: perfbench/tracer.py wraps it by this name
 from .metrics import Trace, avg_psnr  # noqa: F401
 from .operator import CassiModel, adjoint_apply, forward_apply
-from .transforms import SparsifyingTransform
+from .transforms import DEFAULT_WAVELET, SparsifyingTransform
 from .wiener import denoise_cube
 
 DEFAULT_ALPHA = 0.2
@@ -47,7 +47,7 @@ class AmpConfig:
 
     alpha: float = DEFAULT_ALPHA
     max_iter: int = DEFAULT_MAX_ITER
-    wavelet: str = "haar"
+    wavelet: str = DEFAULT_WAVELET
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):

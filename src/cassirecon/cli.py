@@ -5,8 +5,9 @@ measurements from a cube, reconstruct (AMP or the l1 baseline), evaluate
 PSNR against a reference, export band images, and run the numerical
 self-check suite.
 
-Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 I/O
-failure, 4 solver divergence (with any partial trace flushed first).
+Exit codes: 0 success, 1 a failed self-check, 2 usage, validation or
+out-of-memory error, 3 I/O failure, 4 solver divergence (with any partial
+trace flushed first).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fista import L1Config, fista_run
 from .metrics import PsnrSummary, add_noise, check_snr, per_band_psnr
 from .operator import CassiModel, forward_apply, generate_apertures
 from .selfcheck import format_results, run_selfcheck
-from .transforms import WAVELET_FILTERS, SparsifyingTransform
+from .transforms import DEFAULT_WAVELET, WAVELET_FILTERS, SparsifyingTransform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="l1 regularization weight (required for fista, rejected for amp)")
-    p.add_argument("--wavelet", choices=sorted(WAVELET_FILTERS), default="haar")
+    p.add_argument("--wavelet", choices=sorted(WAVELET_FILTERS), default=DEFAULT_WAVELET)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="reference cube for per-iteration PSNR")
     p.add_argument("--trace", default=None, help="per-iteration CSV trace path")

@@ -187,7 +187,9 @@ def _adjoint(model: CassiModel, frames: np.ndarray, out: np.ndarray, scale: floa
     a time: one ``einsum`` sums the band's K shots in order from +0.0 into
     one reused band plane, with no product temporary, and the plane is
     scaled and added into ``out``'s band: ``out + scale * H^T g`` in two
-    roundings. ``out`` is an (M, N, L) cube.
+    roundings. ``out`` is an (M, N, L) cube. Exception: on a 1x1 cube with
+    more than 8,192 shots NumPy buffers the sum 8,192 shots at a time, out
+    of order; no solver runs it, as the transform needs even sides.
     """
     masks = model._masks
     M, N, L, K = model.rows, model.cols, model.bands, model.shots

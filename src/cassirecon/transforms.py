@@ -42,6 +42,8 @@ WAVELET_FILTERS = {
         ]
     ),
 }
+#: The family of AmpConfig, SparsifyingTransform and ``--wavelet`` when none is named.
+DEFAULT_WAVELET = "haar"
 
 
 def default_levels(M: int, N: int) -> int:
@@ -214,7 +216,7 @@ class SparsifyingTransform:
     rows: int
     cols: int
     bands: int
-    wavelet: str = "haar"
+    wavelet: str = DEFAULT_WAVELET
     levels: int = field(init=False)
     subbands: SubbandMap = field(init=False, repr=False, compare=False)
 
