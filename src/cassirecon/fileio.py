@@ -42,9 +42,16 @@ PathLike = Union[str, Path]
 
 
 def _create_temp(path: Path) -> tuple[int, Path]:
-    """Open a new ``<name>.<16 hex>.tmp`` beside ``path`` (a directory is refused): fd and name."""
+    """Open a new ``<name>.<16 hex>.tmp`` beside ``path``: fd and name.
+
+    An existing ``path`` must be a regular file, or a link to one: the rename
+    would replace a FIFO or a device node. Only ``stat`` looks at it, since
+    opening a FIFO for writing blocks.
+    """
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if path.exists() and not path.is_file():
+        raise FileExistsError(errno.EEXIST, "not a regular file")
     name = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666), name
 

@@ -43,14 +43,6 @@ def setup_solver(model):
     return SparsifyingTransform(model.rows, model.cols, model.bands)
 
 
-def test_residual_first_iteration_equals_g():
-    model = small_model()
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal(model.m)
-    r = residual_step(np.zeros(model.n), np.zeros(model.m), 0.0, g, model)
-    assert np.array_equal(r, g)
-
-
 def test_residual_onsager_vanishes_with_zero_previous_residual():
     # r_prev = 0 kills the correction regardless of the stored gain
     model = small_model()

@@ -232,7 +232,16 @@ def test_output_the_write_cannot_name_exit_3_before_reading(workdir, capsys, mon
     assert sorted(workdir.iterdir()) == before
 
 
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "target",
+    [
+        "directory",
+        "missing-parent",
+        pytest.param(
+            "fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+        ),
+    ],
+)
 @pytest.mark.parametrize("command", ["aperture", "simulate", "eval"])
 def test_unwritable_output_names_its_path_exit_3(workdir, capsys, monkeypatch, command, target):
     # the error names the flag's path, not the temp file, and no temp file is
@@ -244,6 +253,9 @@ def test_unwritable_output_names_its_path_exit_3(workdir, capsys, monkeypatch, c
     if target == "directory":
         out, reason = workdir / "d", "Is a directory"
         out.mkdir()
+    elif target == "fifo":
+        out, reason = workdir / "f", "not a regular file"
+        os.mkfifo(out)
     else:
         out, reason = workdir / "nodir" / "r.csv", "No such file or directory"
     argv = {
@@ -255,6 +267,7 @@ def test_unwritable_output_names_its_path_exit_3(workdir, capsys, monkeypatch, c
     assert run_cli(command, *argv) == 3
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
     assert sorted(workdir.rglob("*")) == before
+    assert target != "fifo" or out.is_fifo()
 
 
 @pytest.mark.parametrize(
@@ -375,28 +388,6 @@ def test_reconstruct_alpha_one_runs(workdir):
     assert code == 0
 
 
-def test_reconstruct_fista_requires_lambda(workdir, capsys):
-    code = run_cli(
-        "reconstruct", "--measurements", workdir / "meas.hsm",
-        "--apertures", workdir / "ap.hsa", "--solver", "fista", "--iters", 5,
-        "--out", workdir / "x.hsc",
-    )
-    assert code == 2
-    assert "--lambda" in capsys.readouterr().err
-
-
-def test_reconstruct_fista_with_lambda(workdir):
-    code = run_cli(
-        "reconstruct", "--measurements", workdir / "meas.hsm",
-        "--apertures", workdir / "ap.hsa", "--solver", "fista",
-        "--lambda", 0.01, "--iters", 10, "--out", workdir / "recf.hsc",
-        "--trace", workdir / "tracef.csv",
-    )
-    assert code == 0
-    lines = (workdir / "tracef.csv").read_text().splitlines()
-    assert lines[0] == "iter,objective,residual_norm,wall_ms"
-
-
 def test_reconstruct_fista_with_truth_trace_header(workdir):
     code = run_cli(
         "reconstruct", "--measurements", workdir / "meas.hsm",
@@ -469,30 +460,6 @@ def test_divergence_at_first_iteration_flushes_header(
     assert not (workdir / "x.hsc").exists()
 
 
-def test_reconstruct_divergence_exit_4_flushes_trace(tmp_path):
-    # undamped iterations on a low-rate instance blow up deterministically
-    cube = phantom_cube(16, 16, 8, "gaussian-blobs", seed=3)
-    fileio.write_cube(tmp_path / "cube.hsc", cube)
-    run_cli(
-        "aperture", "--rows", 16, "--cols", 16, "--shots", 2,
-        "--scheme", "complementary", "--seed", 5, "--out", tmp_path / "ap.hsa",
-    )
-    run_cli(
-        "simulate", "--cube", tmp_path / "cube.hsc", "--apertures", tmp_path / "ap.hsa",
-        "--snr", 20, "--seed", 7, "--out", tmp_path / "meas.hsm",
-    )
-    code = run_cli(
-        "reconstruct", "--measurements", tmp_path / "meas.hsm",
-        "--apertures", tmp_path / "ap.hsa", "--alpha", 1.0, "--iters", 400,
-        "--out", tmp_path / "x.hsc", "--trace", tmp_path / "t.csv",
-    )
-    assert code == 4
-    trace_lines = (tmp_path / "t.csv").read_text().splitlines()
-    assert trace_lines[0] == "iter,sigma2,residual_norm,derivative_mean,wall_ms"
-    assert len(trace_lines) == 1 + 37  # partial trace up to the blow-up
-    assert not (tmp_path / "x.hsc").exists()
-
-
 @pytest.fixture
 def instance32(tmp_path):
     """A 32x32x8 phantom and K=4 complementary apertures, default seeds."""
@@ -536,33 +503,6 @@ def test_divergence_names_first_non_finite_stage(instance32, capsys):
     )
     assert len((instance32 / "t.csv").read_text().splitlines()) == 1 + 22
     assert not (instance32 / "x.hsc").exists()
-
-
-def test_finite_divergence_beyond_float32_exit_4(tmp_path, capsys):
-    # AMP damped at 0.5 runs away on this 32x32x16, K=8 instance while every
-    # value stays finite in float64 (about 1e86 by iteration 100); the noise
-    # estimate leaves the float32 range at iteration 25
-    fileio.write_cube(tmp_path / "cube.hsc", phantom_cube(32, 32, 16, "gaussian-blobs", seed=0))
-    assert run_cli(
-        "aperture", "--rows", 32, "--cols", 32, "--shots", 8, "--seed", 1,
-        "--out", tmp_path / "ap.hsa",
-    ) == 0
-    assert run_cli(
-        "simulate", "--cube", tmp_path / "cube.hsc", "--apertures", tmp_path / "ap.hsa",
-        "--snr", 20, "--seed", 2, "--out", tmp_path / "meas.hsm",
-    ) == 0
-    capsys.readouterr()
-    code = run_cli(
-        "reconstruct", "--measurements", tmp_path / "meas.hsm",
-        "--apertures", tmp_path / "ap.hsa", "--alpha", 0.5, "--iters", 100,
-        "--out", tmp_path / "x.hsc", "--trace", tmp_path / "t.csv",
-    )
-    assert code == 4
-    assert capsys.readouterr().err == (
-        "error: values beyond the float32 range in noise estimate at iteration 25\n"
-    )
-    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 24
-    assert not (tmp_path / "x.hsc").exists()
 
 
 def test_eval_report(workdir, capsys):

@@ -214,8 +214,12 @@ def test_written_files_take_the_umask_at_the_write(tmp_path, umask, mode):
         ("directory", "Is a directory"),
         ("missing-parent", "No such file or directory"),
         ("name-too-long", "File name too long"),
+        pytest.param(
+            "fifo", "not a regular file",
+            marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo"),
+        ),
     ],
-    ids=["directory", "missing-parent", "name-too-long"],
+    ids=["directory", "missing-parent", "name-too-long", "fifo"],
 )
 def test_check_writable_meets_what_atomic_write_meets(tmp_path, target, reason):
     if target == "directory":
@@ -223,6 +227,10 @@ def test_check_writable_meets_what_atomic_write_meets(tmp_path, target, reason):
         path.mkdir()
     elif target == "missing-parent":
         path = tmp_path / "nodir" / "x.hsc"
+    elif target == "fifo":
+        # the rename would replace it with a regular file
+        path = tmp_path / "f"
+        os.mkfifo(path)
     else:
         if not hasattr(os, "pathconf"):
             pytest.skip("NAME_MAX comes from os.pathconf")
@@ -236,6 +244,7 @@ def test_check_writable_meets_what_atomic_write_meets(tmp_path, target, reason):
         errors.append(str(exc.value))
         assert sorted(tmp_path.rglob("*")) == before
     assert errors == [f"cannot write {path}: {reason}"] * 2
+    assert target != "fifo" or path.is_fifo()
 
 
 def test_check_writable_leaves_no_file(tmp_path):

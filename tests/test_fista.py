@@ -467,15 +467,6 @@ def test_config_rejects_non_finite_lambda(lam, step):
         L1Config(lam=lam, step=step)
 
 
-def test_divergence_detected():
-    model = small_model(seed=10)
-    t = SparsifyingTransform(8, 8, 4)
-    rng = np.random.default_rng(10)
-    g = rng.standard_normal(model.m)
-    with pytest.raises(DivergenceError):
-        fista_run(g, model, t, L1Config(lam=1e-6, max_iter=50, step=1e300))
-
-
 def test_trace_csv_shape():
     model = small_model(seed=11)
     t = SparsifyingTransform(8, 8, 4)

@@ -38,18 +38,6 @@ def all_ones_model(M, N, L, K=1, weights=W):
     return CassiModel(CodedApertureSet(np.ones((K, M, N), dtype=np.uint8)), weights, bands=L)
 
 
-@pytest.mark.parametrize(
-    "dims,expected",
-    [
-        ((8, 8, 4, 1), 104),
-        ((256, 256, 24, 2), 143872),
-        ((512, 512, 33, 2), 559104),
-    ],
-)
-def test_measurement_count(dims, expected):
-    assert measurement_count(*dims) == expected
-
-
 def test_measurement_count_rejects_bad_dims():
     with pytest.raises(DimensionError):
         measurement_count(0, 8, 4, 1)
@@ -73,16 +61,6 @@ def test_forward_zero_aperture_annihilates():
     rng = np.random.default_rng(0)
     g = forward_apply(model, rng.standard_normal(model.n))
     assert np.all(g == 0.0)
-
-
-def test_forward_matches_materialized():
-    model = make_model(8, 8, 4, 2)
-    H = materialize(model)
-    assert H.shape == (208, 256)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        f = rng.standard_normal(model.n)
-        assert np.abs(H @ f - forward_apply(model, f)).max() <= 1e-12
 
 
 def test_materialize_matches_definition_with_asymmetric_weights():
@@ -128,19 +106,6 @@ def test_adjoint_unit_measurement():
 def test_adjoint_of_zero():
     model = make_model(4, 4, 2, 2)
     assert np.all(adjoint_apply(model, np.zeros(model.m)) == 0.0)
-
-
-@pytest.mark.parametrize("dims", [(8, 8, 4, 2), (16, 16, 8, 2), (32, 8, 4, 4)])
-def test_adjoint_identity(dims):
-    M, N, L, K = dims
-    model = make_model(M, N, L, K)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        f = rng.standard_normal(model.n)
-        g = rng.standard_normal(model.m)
-        lhs = forward_apply(model, f) @ g
-        rhs = f @ adjoint_apply(model, g)
-        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
 @st.composite

@@ -38,16 +38,6 @@ def test_stats_pair_example():
     assert stats.var[0] == 1.0
 
 
-def test_stats_match_scalar_reference():
-    rng = np.random.default_rng(0)
-    smap = subband_map(8, 8, 3, 2)
-    theta = rng.standard_normal(smap.labels.size)
-    stats = estimate_stats(theta, smap)
-    means, variances, _, _ = scalar_wiener_reference(theta, smap.labels, smap.n_groups, 0.1)
-    assert np.abs(stats.mean - means).max() <= 1e-12
-    assert np.abs(stats.var - variances).max() <= 1e-12
-
-
 def test_shrink_direct_substitution():
     # nu^2 = 4, sigma^2 = 1, mu = 0, theta = 2 -> (3/4)*2 = 1.5
     smap = subband_map(4, 4, 1, 1)
