@@ -7,6 +7,10 @@ gain max(0, nu^2 - sigma^2) / nu^2. The mean gain over all coefficients is
 the denoiser derivative the AMP residual correction needs, so it is
 returned alongside.
 
+Most groups collapse to their mean (gain 0): 99.5-99.8 % of the
+coefficients in each iteration of a 256x256x24 AMP solve. The shrink does
+arithmetic only where a gain is not 0, with the same bits (:func:`_shrink`).
+
 Statistics are recomputed from scratch on every call: the solver's noisy
 coefficients change each iteration and the shrinkage must track them.
 """
@@ -83,14 +87,27 @@ def _group_gains(stats: SubbandStats, sigma2: float) -> np.ndarray:
 def _shrink(stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: np.ndarray) -> float:
     """Shrink ``theta`` in place; returns the mean per-coefficient gain.
 
-    The cube is walked a band chunk at a time. Each group's gain and mean
-    are filled into its block of two reused chunk-sized buffers, and the
-    chunk of ``theta`` is shrunk in place (``-= mean; *= gain; += mean``).
+    The cube is walked a band chunk at a time. A group is live when its gain
+    is not 0 (a NaN gain is live) or its mean is not finite. The arithmetic
+    runs on the chunk's top-left box that holds every block with a live
+    group: each group's gain and mean fill its block of two reused box-sized
+    buffers, and the box is shrunk in place (``-= mean; *= gain; += mean``).
+    The subband layout is dyadic, so a block lies wholly inside or outside
+    the box, and the members of a block outside are set to their means.
     Slot 0 of the gain buffer carries the running sum from chunk to chunk,
-    so the in-place ``np.add.accumulate`` adds left to right over the whole
-    flat vector, as one accumulate from +0.0 would. The denoiser and the two
-    public functions below run this same arithmetic, and the same check that
-    ``stats`` holds one mean and one variance per group of ``smap``.
+    so the in-place ``np.add.accumulate`` adds left to right, as one
+    accumulate from +0.0 over every gain would.
+
+    These are the bits of the arithmetic over every block: +0.0 times a
+    finite ``theta - mu`` is +-0.0, +-0.0 + mu is mu, and +0.0 leaves the
+    running sum (never -0.0) alone. :func:`estimate_stats` gives no mean of
+    -0.0, and with a finite mean and gain 0 no member at infinite distance
+    (that makes the variance inf and the gain NaN). Hand-built statistics
+    passed to :func:`wiener_shrink` can differ: a mean of -0.0 may give -0.0
+    for +0.0, and a zero gain with a member at infinite distance from a
+    finite mean gives the mean for NaN. The denoiser and the two public
+    functions below share this code and its check that ``stats`` fits
+    ``smap``.
     """
     if not (stats.mean.size == stats.var.size == smap.n_groups):
         raise DimensionError(
@@ -100,20 +117,27 @@ def _shrink(stats: SubbandStats, sigma2: float, smap: SubbandMap, theta: np.ndar
     M, N, L = smap.shape
     gains = _group_gains(stats, sigma2).reshape(-1, L, order="F")
     means = stats.mean.reshape(-1, L, order="F")
+    live = (gains != 0.0) | ~np.isfinite(means)
     cube = cube_view(theta, smap.shape, "coefficients")
     chunks = band_chunks(M, N, L)
     width = chunks[0][1]
     total = np.empty(1 + M * N * width)
     total[0] = 0.0
-    mu_buf = np.empty((M, N, width), order="F")
+    mu_buf = np.empty(M * N * width)
     for a, b in chunks:
-        size = M * N * (b - a)
-        gain = total[1 : 1 + size].reshape((M, N, b - a), order="F")
-        mu = mu_buf[:, :, : b - a]
-        for s, rc in enumerate(smap.blocks):
-            gain[rc] = gains[s, a:b]
-            mu[rc] = means[s, a:b]
-        chunk = cube[:, :, a:b]
+        box = [rc for rc, on in zip(smap.blocks, live[:, a:b].any(axis=1).tolist()) if on]
+        R = max((r.stop for r, _ in box), default=0)
+        C = max((c.stop for _, c in box), default=0)
+        size = R * C * (b - a)
+        gain = total[1 : 1 + size].reshape((R, C, b - a), order="F")
+        mu = mu_buf[:size].reshape((R, C, b - a), order="F")
+        for s, (r, c) in enumerate(smap.blocks):
+            if r.stop <= R and c.stop <= C:
+                gain[r, c] = gains[s, a:b]
+                mu[r, c] = means[s, a:b]
+            else:
+                cube[r, c, a:b] = means[s, a:b]
+        chunk = cube[:R, :C, a:b]
         chunk -= mu
         chunk *= gain
         chunk += mu

@@ -7,7 +7,6 @@ Each criterion runs at its stated tolerance and prints one pass/fail line
 import time
 
 import numpy as np
-import pytest
 
 from cassirecon import fileio
 from cassirecon.amp import AmpConfig, AmpState, amp_iteration, run_amp

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from cassirecon import cubes
 from cassirecon.cubes import band_chunks
 from cassirecon.errors import DimensionError
 from cassirecon.selfcheck import scalar_wiener_reference
@@ -70,10 +73,23 @@ def test_shrink_zero_noise_is_identity():
     assert shrink_derivative_mean(stats, 0.0, smap) == 1.0
 
 
-def test_shrink_bit_for_bit_against_scalar_reference():
+def test_shrink_bit_for_bit_against_scalar_reference(monkeypatch):
     # Groups of 8 or more members, single-band and non-square maps included.
     # np.add.reduce over a block picks its summation order from the layout
     # and goes pairwise on a single band, which changes the last bits there.
+    def check(theta, smap, sigma2):
+        stats = estimate_stats(theta, smap)
+        got = wiener_shrink(theta, stats, sigma2, smap)
+        got_d = shrink_derivative_mean(stats, sigma2, smap)
+        means, variances, want, want_d = scalar_wiener_reference(
+            theta, smap.labels, smap.n_groups, sigma2
+        )
+        # bytes, so that a NaN must meet the same NaN
+        assert stats.mean.tobytes() == means.tobytes()
+        assert stats.var.tobytes() == variances.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert np.float64(got_d).tobytes() == np.float64(want_d).tobytes()
+
     rng = np.random.default_rng(2)
     cases = [
         ((8, 8, 2, 2), 50), ((8, 8, 3, 2), 20), ((32, 32, 1, 1), 20), ((8, 64, 1, 3), 20),
@@ -82,17 +98,46 @@ def test_shrink_bit_for_bit_against_scalar_reference():
     for dims, trials in cases:
         smap = subband_map(*dims)
         for trial in range(trials):
-            theta = rng.standard_normal(smap.labels.size)
-            sigma2 = float(rng.uniform(0.0, 2.0))
-            stats = estimate_stats(theta, smap)
-            got = wiener_shrink(theta, stats, sigma2, smap)
-            got_d = shrink_derivative_mean(stats, sigma2, smap)
-            means, variances, want, want_d = scalar_wiener_reference(
-                theta, smap.labels, smap.n_groups, sigma2
-            )
-            assert np.array_equal(stats.mean, means) and np.array_equal(stats.var, variances)
-            assert np.array_equal(got, want)
-            assert got_d == want_d
+            check(rng.standard_normal(smap.n), smap, float(rng.uniform(0.0, 2.0)))
+
+    # Three chunks of two bands. The box of live blocks the shrink works on
+    # is the approximation block in the first, empty in the second and the
+    # whole chunk in the third, where a finest-level block is live; the mean
+    # gain is carried across all three.
+    monkeypatch.setattr(cubes, "CHUNK_BYTES", 2 * 8 * 16 * 16)
+    assert band_chunks(16, 16, 6) == [(0, 2), (2, 4), (4, 6)]
+    smap = subband_map(16, 16, 6, 2)
+    scale = np.full((len(smap.blocks), 6), 0.1)
+    scale[0, [0, 1, 4, 5]] = 10.0
+    scale[3, 4:] = 10.0  # finest level, high rows and high columns
+    theta = rng.standard_normal(smap.n) * scale.ravel(order="F")[smap.labels]
+    live = estimate_stats(theta, smap).var.reshape(-1, 6, order="F") > 1.0
+    assert np.array_equal(live, scale > 1.0)
+    check(theta, smap, 1.0)
+    # A group holding +inf has mean inf and gain 0, yet its members come out
+    # NaN; one spread over +-1e200 has variance inf and gain NaN.
+    first = np.flatnonzero(smap.labels == 7 * 2 + 4)[0]  # coarse block, band 2
+    spread = np.flatnonzero(smap.labels == 7 * 3 + 5)  # coarse block, band 3
+    theta[first] = np.inf
+    theta[spread] = np.where(np.arange(spread.size) % 2, 1e200, -1e200)
+    with np.errstate(invalid="ignore", over="ignore"):
+        check(theta, smap, 1.0)
+
+
+def test_box_of_two_blocks_holds_or_misses_every_block():
+    # The shrink's box [0, R) x [0, C) of live blocks takes R from one block
+    # and C from one block. Each block lies wholly inside the box of every
+    # such pair or wholly outside it, so the shrink needs no partial block.
+    for M, N in ((64, 64), (64, 32), (8, 64), (32, 32)):
+        levels = 1
+        while M % (1 << levels) == 0 and N % (1 << levels) == 0:
+            blocks = subband_map(M, N, 1, levels).blocks
+            for (r1, c1), (r2, c2) in itertools.product(blocks, repeat=2):
+                R, C = max(r1.stop, r2.stop), max(c1.stop, c2.stop)
+                for r, c in blocks:
+                    inside = r.stop <= R and c.stop <= C
+                    assert inside or r.start >= R or c.start >= C, (M, N, levels, r, c)
+            levels += 1
 
 
 def test_shrinkage_never_moves_past_the_mean():
